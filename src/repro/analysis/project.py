@@ -248,6 +248,26 @@ def _directive_lines(source: str) -> Tuple[Dict[int, str], FrozenSet[int], List[
     return guarded, frozenset(publish), orders
 
 
+def _parameter_classes(function: ast.FunctionDef) -> Dict[str, str]:
+    """Parameter name -> bare class name, for class-annotated parameters.
+
+    Lets ``self.x = param`` bind ``x`` to the annotated class, the way
+    ``self.x = SomeClass(...)`` does.
+    """
+    classes: Dict[str, str] = {}
+    for arg in (*function.args.args, *function.args.kwonlyargs):
+        annotation = arg.annotation
+        if isinstance(annotation, ast.Name):
+            classes[arg.arg] = annotation.id
+        elif isinstance(annotation, ast.Attribute):
+            classes[arg.arg] = annotation.attr
+        elif isinstance(annotation, ast.Constant) and isinstance(
+            annotation.value, str
+        ) and annotation.value.isidentifier():
+            classes[arg.arg] = annotation.value
+    return classes
+
+
 def _collect_class(
     node: ast.ClassDef, logical_path: str, guarded_lines: Dict[int, str]
 ) -> ClassInfo:
@@ -264,6 +284,7 @@ def _collect_class(
     for statement in node.body:
         if isinstance(statement, ast.FunctionDef):
             info.methods[statement.name] = statement
+            parameters = _parameter_classes(statement)
             for inner in ast.walk(statement):
                 targets: List[ast.expr] = []
                 value: Optional[ast.expr] = None
@@ -283,6 +304,8 @@ def _collect_class(
                         lock_attrs.add(attr)
                     elif isinstance(value, ast.Call) and called is not None:
                         info.attr_classes.setdefault(attr, called)
+                    elif isinstance(value, ast.Name) and value.id in parameters:
+                        info.attr_classes.setdefault(attr, parameters[value.id])
                     lock = guarded_lines.get(inner.lineno)
                     if lock is not None:
                         info.guarded[attr] = lock

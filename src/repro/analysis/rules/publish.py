@@ -1,8 +1,9 @@
 """R007 — values published to shared readers are transitively immutable.
 
-The region-keyed cache works because a stored answer can be handed to
+The serving answer cache works because a stored entry can be handed to
 any number of concurrent readers without copying: two threads thawing
-the same entry share the frozen value objects inside it.  One mutable
+the same entry share the frozen value objects inside it, and every
+later response splices its encoded bytes verbatim.  One mutable
 container smuggled into that frozen form — a ``list`` inside a cached
 tuple, a ``dict`` field on a "frozen" dataclass — turns region-cache
 hits into cross-request aliasing bugs that no fingerprint test catches
@@ -12,12 +13,12 @@ keeps served answers that way.
 
 Three publish surfaces are checked:
 
-* the ``value`` argument of :meth:`RegionKeyedCache.put` — anything
-  stored in the cache — and, since PR 10, of
-  :meth:`ResponseCache.put` / :meth:`ResponseCache.put_gzip`: encoded
-  response bodies are spliced verbatim into every later matching
-  response, so a mutable value there corrupts wire bytes for all
-  future readers;
+* the ``entry`` argument of :meth:`TaraService.store` — the one store
+  path of the answer cache — and the byte arguments of the entry's
+  successor builders :meth:`AnswerEntry.with_blob` /
+  :meth:`AnswerEntry.with_gzip`, through which every encoded variant is
+  attached (a ``bytearray`` body there would corrupt wire bytes for all
+  future readers);
 * every ``return`` of a function marked with a trailing
   ``repro-lint: publish`` directive on its ``def`` line (seeded on the
   service's freeze hook) — the declared freeze boundary;
@@ -50,11 +51,18 @@ from repro.analysis.project import (
     ProjectIndex,
 )
 
-#: ``(class name, method, value-argument index)`` cache publish sinks.
-PUT_SINKS: Tuple[Tuple[str, str, int], ...] = (
-    ("RegionKeyedCache", "put", 1),
-    ("ResponseCache", "put", 1),
-    ("ResponseCache", "put_gzip", 1),
+#: ``(class name, method, value-argument index, value keyword)`` cache
+#: publish sinks, matched on a resolved ``self.m`` / ``self.attr.m``
+#: receiver ...
+PUT_SINKS: Tuple[Tuple[str, str, int, str], ...] = (
+    ("TaraService", "store", 2, "entry"),
+)
+
+#: ... plus the answer entry's successor builders, matched on any
+#: receiver (it is usually a local entry the index cannot type).
+ENTRY_SINKS: Tuple[Tuple[str, str, int, str], ...] = (
+    ("AnswerEntry", "with_blob", 1, "blob"),
+    ("AnswerEntry", "with_gzip", 2, "body"),
 )
 
 #: Annotation names that make a frozen dataclass field mutable inside.
@@ -116,6 +124,7 @@ class PublishImmutabilityRule(ProjectRule):
         include=(
             "repro/service/",
             "repro/serve/",
+            "repro/core/cache.py",
             "repro/core/queries.py",
         )
     )
@@ -179,18 +188,12 @@ class PublishImmutabilityRule(ProjectRule):
             receiver_class = scope.owner.attr_classes.get(receiver.attr)
         elif isinstance(receiver, ast.Name) and receiver.id == "self":
             receiver_class = scope.owner.name if scope.owner else None
-        for class_name, method, arg_index in PUT_SINKS:
-            if func.attr != method or receiver_class != class_name:
-                continue
-            value: Optional[ast.expr] = None
-            if len(node.args) > arg_index:
-                value = node.args[arg_index]
-            else:
-                for keyword in node.keywords:
-                    if keyword.arg == "value":
-                        value = keyword.value
-            if value is not None:
-                return class_name, method, value
+        for class_name, method, index, keyword in PUT_SINKS:
+            if func.attr == method and receiver_class == class_name:
+                return _sink_value(node, class_name, method, index, keyword)
+        for class_name, method, index, keyword in ENTRY_SINKS:
+            if func.attr == method:
+                return _sink_value(node, class_name, method, index, keyword)
         return None
 
     def _check_publish_returns(
@@ -235,6 +238,18 @@ class PublishImmutabilityRule(ProjectRule):
                         f"mutable container(s) {', '.join(mutable_names)}; "
                         "published answers alias these across readers",
                     )
+
+
+def _sink_value(
+    node: ast.Call, class_name: str, method: str, index: int, keyword: str
+) -> Optional[Tuple[str, str, ast.expr]]:
+    """The published argument of a matched sink call, or ``None``."""
+    if len(node.args) > index:
+        return class_name, method, node.args[index]
+    for candidate in node.keywords:
+        if candidate.arg == keyword:
+            return class_name, method, candidate.value
+    return None
 
 
 def _functions_of(

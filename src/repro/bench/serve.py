@@ -237,11 +237,11 @@ async def _run_cell(
             )
 
         # --- negotiation surface (verified, not timed) ---------------
-        variants_before = server.gateway.respcache.counters()["gzip_variants"]
+        variants_before = server.gateway.cache_counters()["gzip_variants"]
         scratch: List[float] = []
         await one(clients[0], scratch)
         repeat_headers, repeat_body = observed[-1]
-        variants_after = server.gateway.respcache.counters()["gzip_variants"]
+        variants_after = server.gateway.cache_counters()["gzip_variants"]
         if (
             repeat_headers.get("content-encoding") != "gzip"
             or repeat_body != gzip_reference
@@ -270,7 +270,7 @@ async def _run_cell(
         check_identity(observed[-1][1])
 
         coalesce = server.gateway.coalescer.counters()
-        respcache = server.gateway.respcache.counters()
+        respcache = server.gateway.cache_counters()
     finally:
         for client in clients:
             await client.aclose()

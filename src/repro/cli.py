@@ -53,9 +53,9 @@ lazily loaded v2 container.
 
 Query thresholds are spelled ``--minsupp`` / ``--minconf`` uniformly
 across ``mine``, ``recommend``, and ``compare`` (``compare`` adds
-``--second-minsupp`` / ``--second-minconf``); the original spellings
-(``--min-support``, ``--first SUPP CONF``, ...) keep working as hidden
-aliases but emit one :class:`DeprecationWarning` per process.
+``--second-minsupp`` / ``--second-minconf``; its legacy ``--first`` /
+``--second SUPP CONF`` pairs keep working as hidden aliases but emit one
+:class:`DeprecationWarning` per process).
 
 Every subcommand prints plain text to stdout; exit code 0 on success,
 2 on argument errors (argparse convention), 1 on domain errors with the
@@ -99,6 +99,7 @@ from repro.core import (
     load_knowledge_base,
     save_knowledge_base,
 )
+from repro.core.cache import DEFAULT_CACHE_BYTES
 from repro.core.persistence import DEFAULT_FORMAT_VERSION, FORMAT_VERSION
 from repro.core.storage.format import DEFAULT_SHARD_SIZE, MAGIC
 from repro.core.storage.lru import DECODED_ENTRY_COST, SERIES_BASE_COST
@@ -119,10 +120,8 @@ from repro.datagen import (
 from repro.maras import MarasAnalyzer, MarasConfig
 from repro.serve import (
     DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_MAX_ENTRIES,
     DEFAULT_POOL_SIZE,
     DEFAULT_PORT,
-    DEFAULT_RESPONSE_CACHE_BYTES,
     ServeConfig,
     resolve_pool_size,
     run_server,
@@ -188,32 +187,14 @@ def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_threshold_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the unified ``--minsupp`` / ``--minconf`` query flags.
-
-    The historical ``--min-support`` / ``--min-confidence`` spellings
-    stay accepted as hidden aliases (same destination, mutually
-    exclusive with the new spelling) so existing scripts keep working —
-    at the price of one :class:`DeprecationWarning` per process.
-    """
-    support = parser.add_mutually_exclusive_group(required=True)
-    support.add_argument(
-        "--minsupp", dest="min_support", type=float,
+    """Install the ``--minsupp`` / ``--minconf`` query flags."""
+    parser.add_argument(
+        "--minsupp", dest="min_support", type=float, required=True,
         help="query minimum support",
     )
-    support.add_argument(
-        "--min-support", dest="min_support", type=float,
-        action=_DeprecatedAlias, preferred="--minsupp",
-        help=argparse.SUPPRESS,
-    )
-    confidence = parser.add_mutually_exclusive_group(required=True)
-    confidence.add_argument(
-        "--minconf", dest="min_confidence", type=float,
+    parser.add_argument(
+        "--minconf", dest="min_confidence", type=float, required=True,
         help="query minimum confidence",
-    )
-    confidence.add_argument(
-        "--min-confidence", dest="min_confidence", type=float,
-        action=_DeprecatedAlias, preferred="--minconf",
-        help=argparse.SUPPRESS,
     )
 
 
@@ -359,11 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query worker threads: a count or 'auto' "
                             "(one per CPU; "
                             f"default: {DEFAULT_POOL_SIZE})")
-    serve.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-                       help=f"region-keyed cache capacity (default: {DEFAULT_MAX_ENTRIES})")
     serve.add_argument("--response-cache", type=_parse_memory_budget,
-                       default=DEFAULT_RESPONSE_CACHE_BYTES, metavar="BYTES",
-                       help="encoded-response byte-cache budget "
+                       default=DEFAULT_CACHE_BYTES, metavar="BYTES",
+                       help="answer-cache byte budget: frozen answers plus "
+                            "their encoded and gzip bytes "
                             "(suffixes k/M/G; default: 64M)")
     serve.add_argument("--drain-timeout", type=float, default=DEFAULT_DRAIN_TIMEOUT,
                        help="graceful-shutdown drain seconds "
@@ -682,7 +662,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         pool_size=resolve_pool_size(args.pool_size),
-        max_entries=args.max_entries,
         drain_timeout=args.drain_timeout,
         response_cache_bytes=args.response_cache,
     )

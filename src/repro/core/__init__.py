@@ -46,7 +46,7 @@ from repro.core.queries import (
     WindowDiff,
 )
 from repro.core.regions import ParameterSetting, StableRegion, WindowSlice
-from repro.core.snapshot import DEFAULT_SEGMENT_CAPACITY, Snapshot, SnapshotHandle
+from repro.core.snapshot import Snapshot, SnapshotHandle
 from repro.core.rollup import max_support_error, rolled_up_mine
 from repro.core.trajectory import TrajectorySummary, summarize_trajectory
 
@@ -73,7 +73,6 @@ __all__ = [
     "RuleTrajectory",
     "Snapshot",
     "SnapshotHandle",
-    "DEFAULT_SEGMENT_CAPACITY",
     "TrajectoryQuery",
     "StableRegion",
     "ShardedArchive",

@@ -1,92 +1,150 @@
-"""Bounded LRU cache over canonical region keys.
+"""The serving answer cache: one immutable entry per canonical region key.
 
-The cache is deliberately small and boring: an :class:`~collections.OrderedDict`
-in least-recently-used order, a hard entry bound, and an eviction
-counter.  Two instances exist per serving stack: the service-owned
-*shared* cache (epoch-free entries — explicit-window answers, valid
-forever because archived windows are immutable) and one *segment* per
-:class:`repro.core.Snapshot` (generation-scoped entries, cleared in one
-shot when the snapshot retires).  The pre-PR-8 per-entry purge protocol
-(``purge_scoped_except``) is gone: invalidation is now snapshot
-retirement, never a scan.
+The paper's equivalence (Definition 11) says every setting inside one
+time-aware stable region yields the same ruleset, so one served answer
+is reused under one canonical integer key
+(:func:`repro.service.keys.canonicalize`).  An :class:`AnswerEntry`
+holds everything the serving tiers reuse for that key:
 
-The container lives in :mod:`repro.core` because the snapshot segment
-does; :mod:`repro.service.cache` re-exports it for the serving tier and
-for older import paths.
+* the *frozen* answer value, thawed per caller by
+  :class:`repro.service.TaraService`;
+* the *identity blob* for each echo tag — the encoded answer bytes
+  after ``"answer":`` in the success envelope.  Q2/Q3 answers echo the
+  caller's raw floats (:func:`repro.service.keys.echo_tag`), so
+  region-equivalent requests share the value but not the bytes;
+* the *gzip variant* for each echo tag — one complete pre-compressed
+  response body, stored with the envelope prefix it was compressed
+  under.  A variant is served only to a request whose envelope is that
+  same prefix, so a variant never outlives the snapshot epoch baked
+  into it, even under an epoch-free key.
 
-The cache itself is **not** synchronized; its owner
-(:class:`repro.service.service.TaraService` or the snapshot) holds a
-lock around every call.
+Entries are immutable: attaching bytes builds a successor entry
+(:meth:`AnswerEntry.with_blob`, :meth:`AnswerEntry.with_gzip`) that
+replaces the old one in its tier.  A tier is a
+:class:`~repro.core.storage.lru.ByteBudgetLRU`: the service owns the
+shared tier of epoch-free entries (explicit windows, valid forever
+because archived windows are immutable), and each
+:class:`repro.core.Snapshot` owns a segment of its scoped entries,
+dropped wholesale when the snapshot's last reader drains.  There is no
+other retirement.
+
+Each entry is charged :attr:`AnswerEntry.cost`: a deterministic model
+of the frozen value (:func:`answer_cost`, in the manner of
+:func:`~repro.core.storage.lru.series_cost`) plus the length of every
+attached byte string.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple, cast
 
-from repro.common.errors import ValidationError
+from repro.core.queries import ComparisonResult, Recommendation, RuleTrajectory
+from repro.mining.rules import RuleId
 
 #: A canonical region key — the integer tuple produced by
 #: :func:`repro.service.keys.canonicalize` (re-declared here so the
-#: container does not depend on the key-construction layer above it).
+#: entry does not depend on the key-construction layer above it).
 CacheKey = Tuple[int, ...]
+
+#: The raw caller floats an answer echoes back (empty for Q1/Q5).
+EchoTag = Tuple[float, ...]
+
+#: Default byte budget of one cache tier.
+DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
+
+#: Charged per entry: the entry object, its LRU slot and its key tuple.
+ENTRY_BASE_COST = 120
+
+#: Charged per object a frozen answer holds: a trajectory, one window
+#: measure of a trajectory, a window diff, a stable region, or one
+#: per-window row of a content answer (the storage LRU's
+#: ``DECODED_ENTRY_COST`` for a small object plus its container slot).
+OBJECT_COST = 88
+
+#: Charged per rule-id reference inside a tuple (ids are shared ints).
+REF_COST = 8
+
+
+def answer_cost(query_class: str, value: object) -> int:
+    """Charged bytes for one frozen answer of *query_class*.
+
+    A model, not a measurement: budgets must mean the same on every run
+    of the same workload.  Rules themselves are shared with the catalog
+    and not charged.
+    """
+    if query_class == "Q1":
+        trajectories = cast(Tuple[RuleTrajectory, ...], value)
+        return ENTRY_BASE_COST + sum(
+            OBJECT_COST * (1 + len(trajectory.measures))
+            for trajectory in trajectories
+        )
+    if query_class == "Q2":
+        comparison = cast(ComparisonResult, value)
+        refs = len(comparison.only_first) + len(comparison.only_second)
+        for diff in comparison.per_window:
+            refs += len(diff.only_first) + len(diff.only_second) + len(diff.common)
+        return (
+            ENTRY_BASE_COST
+            + OBJECT_COST * len(comparison.per_window)
+            + REF_COST * refs
+        )
+    if query_class == "Q3":
+        recommendation = cast(Recommendation, value)
+        return ENTRY_BASE_COST + OBJECT_COST * (1 + len(recommendation.neighbors))
+    pairs = cast(Tuple[Tuple[int, Tuple[RuleId, ...]], ...], value)
+    return ENTRY_BASE_COST + sum(
+        OBJECT_COST + REF_COST * len(ids) for _, ids in pairs
+    )
 
 
 @dataclass(frozen=True)
-class CacheEntry:
-    """One memoized answer: the frozen value plus its epoch scope.
+class AnswerEntry:
+    """One cached answer with its encoded byte variants.
 
-    ``epoch`` is :data:`repro.service.keys.EPOCH_FREE` for entries that
-    can never go stale, or the serving epoch the entry is scoped to.
+    Attributes:
+        value: the frozen answer (immutable containers only).
+        value_cost: :func:`answer_cost` of *value*.
+        blobs: ``(echo tag, identity answer blob)`` pairs.
+        gzipped: ``(echo tag, envelope prefix, gzip body)`` triples.
     """
 
     value: object
-    epoch: int
+    value_cost: int
+    blobs: Tuple[Tuple[EchoTag, bytes], ...] = ()
+    gzipped: Tuple[Tuple[EchoTag, bytes, bytes], ...] = ()
 
+    @property
+    def cost(self) -> int:
+        """Charged bytes: the value model plus every attached byte string."""
+        return (
+            self.value_cost
+            + sum(len(blob) for _, blob in self.blobs)
+            + sum(len(prefix) + len(body) for _, prefix, body in self.gzipped)
+        )
 
-class RegionKeyedCache:
-    """A bounded, LRU-evicting map from canonical keys to answers."""
+    def blob(self, echo: EchoTag) -> Optional[bytes]:
+        """The identity answer blob for *echo*, or ``None``."""
+        for tag, blob in self.blobs:
+            if tag == echo:
+                return blob
+        return None
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValidationError(
-                f"cache max_entries must be positive, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+    def gzip(self, echo: EchoTag, prefix: bytes) -> Optional[bytes]:
+        """The gzip body for *echo* compressed under *prefix*, or ``None``."""
+        for tag, minted_under, body in self.gzipped:
+            if tag == echo and minted_under == prefix:
+                return body
+        return None
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def with_blob(self, echo: EchoTag, blob: bytes) -> "AnswerEntry":
+        """A successor entry with *blob* as the identity bytes of *echo*."""
+        kept = tuple(pair for pair in self.blobs if pair[0] != echo)
+        return replace(self, blobs=kept + ((echo, blob),))
 
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
-
-    def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        """The entry at *key* (refreshing its recency), or ``None``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: CacheKey, value: object, epoch: int) -> int:
-        """Insert (or refresh) *key*; returns how many entries were evicted."""
-        self._entries[key] = CacheEntry(value=value, epoch=epoch)
-        self._entries.move_to_end(key)
-        evicted = 0
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were dropped.
-
-        This is the segment-retirement primitive: when a snapshot's
-        last reader drains, its whole segment is cleared in one shot.
-        """
-        dropped = len(self._entries)
-        self._entries.clear()
-        return dropped
+    def with_gzip(
+        self, echo: EchoTag, prefix: bytes, body: bytes
+    ) -> "AnswerEntry":
+        """A successor entry whose one gzip variant of *echo* is *body*."""
+        kept = tuple(triple for triple in self.gzipped if triple[0] != echo)
+        return replace(self, gzipped=kept + ((echo, prefix, body),))

@@ -6,7 +6,8 @@ an integer epoch and cache purges as the only isolation.  This module
 promotes the epoch to a real copy-on-write snapshot object:
 
 * a :class:`Snapshot` is a *frozen* view — knowledge base, lazily built
-  explorer, and a private region-keyed cache segment — published by
+  explorer, and a private segment of the serving answer cache
+  (:mod:`repro.core.cache`) — published by
   :class:`repro.core.IncrementalTara` and never mutated afterwards;
 * readers *pin* a snapshot through a reference-counted
   :class:`SnapshotHandle` (a context manager); every query executes
@@ -37,11 +38,12 @@ from typing import Callable, Optional, Type
 
 from repro.common.errors import RetiredSnapshotError
 from repro.core.builder import TaraKnowledgeBase
-from repro.core.cache import CacheEntry, CacheKey, RegionKeyedCache
+from repro.core.cache import AnswerEntry, CacheKey
 from repro.core.explorer import TaraExplorer
+from repro.core.storage.lru import ByteBudgetLRU
 
-#: Default capacity of one snapshot's region-keyed cache segment.
-DEFAULT_SEGMENT_CAPACITY = 1024
+#: One snapshot's segment of scoped answer-cache entries.
+Segment = ByteBudgetLRU[CacheKey, AnswerEntry]
 
 
 class Snapshot:
@@ -58,20 +60,18 @@ class Snapshot:
         epoch: int,
         knowledge_base: TaraKnowledgeBase,
         *,
-        segment_capacity: int = DEFAULT_SEGMENT_CAPACITY,
         explorer: Optional[TaraExplorer] = None,
         on_retire: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.epoch = epoch
         self.knowledge_base = knowledge_base
-        self._segment_capacity = segment_capacity
         self._on_retire = on_retire
         self._lock = threading.Lock()
         self._refs = 0  # repro-lint: guarded-by=_lock
         self._retired = False  # repro-lint: guarded-by=_lock
         self._retire_count = 0  # repro-lint: guarded-by=_lock
         self._explorer = explorer  # repro-lint: guarded-by=_lock
-        self._segment: Optional["RegionKeyedCache"] = None  # repro-lint: guarded-by=_lock
+        self._segment: Optional[Segment] = None  # repro-lint: guarded-by=_lock
 
     # ------------------------------------------------------------------
     # identity / introspection
@@ -165,38 +165,23 @@ class Snapshot:
     # ------------------------------------------------------------------
     # cache segment
     # ------------------------------------------------------------------
-    def cached(self, key: CacheKey) -> Optional[CacheEntry]:
-        """The segment entry at *key*, or ``None`` (miss or retired)."""
-        with self._lock:
-            if self._segment is None:
-                return None
-            return self._segment.get(key)
+    def segment(self, budget_bytes: int) -> Optional[Segment]:
+        """This snapshot's answer-cache segment, or ``None`` once retired.
 
-    def store(self, key: CacheKey, value: object) -> int:
-        """Memoize one frozen answer in the segment; returns evictions.
-
-        Always correct without any epoch re-check: the caller holds a
-        pin, so the value was computed against exactly this view; if the
-        snapshot was superseded meanwhile the entry simply serves the
-        remaining pinned readers until retirement clears the segment.
-        A store after retirement is dropped silently (the answer was
-        still correct; there is just nobody left to reuse it).
+        Created on first use with *budget_bytes* (the serving cache's one
+        budget).  Entries stored here need no epoch re-check: the caller
+        holds a pin, so they were computed against exactly this view, and
+        they serve the remaining pinned readers until retirement clears
+        the segment.
         """
         with self._lock:
             if self._retired:
-                return 0
+                return None
             segment = self._segment
             if segment is None:
-                segment = RegionKeyedCache(max_entries=self._segment_capacity)
+                segment = ByteBudgetLRU(budget_bytes)
                 self._segment = segment
-            return segment.put(key, value, self.epoch)
-
-    def segment_info(self) -> "tuple[int, int]":
-        """``(entries, evictions)`` of the segment (0, 0 before first use)."""
-        with self._lock:
-            if self._segment is None:
-                return 0, 0
-            return len(self._segment), self._segment.evictions
+            return segment
 
 
 class SnapshotHandle:

@@ -1,14 +1,16 @@
-"""A byte-budgeted LRU for decoded archive slices.
+"""A byte-budgeted LRU for decoded archive slices and served answers.
 
 The v2 read path (:mod:`repro.core.storage.reader`) materializes a
 rule's decoded series only on first touch; this container is what keeps
-the *sum* of those materializations bounded.  Each cached value carries
-an explicit byte cost (the reader charges a deterministic estimate of
-the decoded Python structure, see :func:`series_cost`); inserting past
-the budget evicts least-recently-used entries until the total fits
-again.  Counters (hits, misses, evictions, current/peak charged bytes)
-feed the storage section of the serving metrics and the
-``repro bench-persist`` artefact.
+the *sum* of those materializations bounded.  The serving answer cache
+(:mod:`repro.core.cache`) uses the same container for its tiers.  Each
+cached value carries an explicit byte cost (the reader charges a
+deterministic estimate of the decoded Python structure, see
+:func:`series_cost`); inserting past the budget evicts
+least-recently-used entries until the total fits again.  Counters
+(hits, misses, evictions, current/peak charged bytes) feed the storage
+section of the serving metrics and the ``repro bench-persist``
+artefact.
 
 Thread safety: the serving tier executes queries on a thread pool, so
 every public method takes the container's own lock — the LRU is shared
@@ -80,19 +82,21 @@ class ByteBudgetLRU(Generic[K, V]):
             self._hits += 1
             return cached[0]
 
-    def put(self, key: K, value: V, cost: int) -> None:
+    def put(self, key: K, value: V, cost: int) -> int:
         """Cache *value* charged at *cost* bytes, evicting LRU entries.
 
         Replacing an existing key re-charges it at the new cost.  An
         entry whose lone cost exceeds the whole budget is rejected (and
-        counted) instead of wiping the cache for nothing.
+        counted) instead of wiping the cache for nothing.  Returns how
+        many entries were evicted to make room.
         """
         if cost < 0:
             raise ValidationError(f"cost must be >= 0, got {cost}")
+        evicted = 0
         with self._lock:
             if self.budget_bytes is not None and cost > self.budget_bytes:
                 self._rejected += 1
-                return
+                return 0
             existing = self._entries.pop(key, None)
             if existing is not None:
                 self._current_bytes -= existing[1]
@@ -102,18 +106,22 @@ class ByteBudgetLRU(Generic[K, V]):
                 while self._current_bytes > self.budget_bytes and len(self._entries) > 1:
                     _, (_, evicted_cost) = self._entries.popitem(last=False)
                     self._current_bytes -= evicted_cost
-                    self._evictions += 1
+                    evicted += 1
+                self._evictions += evicted
                 # The newest entry alone may still exceed the budget when
                 # cost <= budget < cost + anything; that case cannot
                 # happen (we evicted down to one entry of cost <= budget).
             if self._current_bytes > self._peak_bytes:
                 self._peak_bytes = self._current_bytes
+        return evicted
 
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+    def clear(self) -> int:
+        """Drop every entry (counters are preserved); returns how many."""
         with self._lock:
+            dropped = len(self._entries)
             self._entries.clear()
             self._current_bytes = 0
+            return dropped
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,11 +11,14 @@ requests into a single execution and per-endpoint metrics
 (:func:`create_asgi_app`) exposes the identical wire behaviour to
 external ASGI servers.
 
-The wire-hot path (PR 10) never re-encodes a warm answer: bodies are
-serialized once through :func:`encode_answer_bytes` and cached as
-bytes in a :class:`ResponseCache` keyed by ``(region key, echo tag,
-encoding)``, with gzip variants, weak ETags → 304 conditional
-answers, and chunked streaming for large bodies.
+The wire-hot path never re-encodes a warm answer: bodies are
+serialized once through :func:`encode_answer_bytes` and attached as
+bytes to the service's one answer-cache entry per region key
+(:class:`repro.core.cache.AnswerEntry`: the frozen answer, an identity
+blob per echo tag and a gzip variant per echo tag, under one byte
+budget, retired only with the snapshot that scoped it), with weak
+ETags → 304 conditional answers and chunked streaming for large
+bodies.
 
 See ``docs/serving.md`` for the wire-protocol reference and the
 operations handbook, and ``docs/benchmarks.md`` for the matching
@@ -44,13 +47,8 @@ from repro.serve.protocol import (
     encode_batches,
     encode_request,
 )
-from repro.serve.respcache import (
-    DEFAULT_RESPONSE_CACHE_BYTES,
-    ResponseCache,
-)
 from repro.serve.server import (
     DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_MAX_ENTRIES,
     DEFAULT_PORT,
     ServeConfig,
     TaraServer,
@@ -62,15 +60,12 @@ from repro.serve.server import (
 __all__ = [
     "AsgiApp",
     "DEFAULT_DRAIN_TIMEOUT",
-    "DEFAULT_MAX_ENTRIES",
     "DEFAULT_POOL_SIZE",
     "DEFAULT_PORT",
-    "DEFAULT_RESPONSE_CACHE_BYTES",
     "HttpRequest",
     "QUERY_KINDS",
     "QueryGateway",
     "RequestCoalescer",
-    "ResponseCache",
     "ServeClient",
     "ServeConfig",
     "ServerMetrics",

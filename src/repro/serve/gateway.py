@@ -25,32 +25,33 @@ Envelope: success is ``{"ok": true, "query_class", "epoch",
 carrying the family (400 protocol/domain, 404/405 routing, 409 build
 in flight, 503 draining, 500 bug).
 
-**The wire-hot path (PR 10).**  Query responses are built from encoded
-bytes end to end: answers are serialized once through
+**The wire-hot path.**  Query responses are built from encoded bytes
+end to end: answers are serialized once through
 :func:`repro.serve.protocol.encode_answer_bytes` (memoized per-rule
-fragments, chunked emission) and the resulting blob is stored in a
-:class:`repro.serve.respcache.ResponseCache` keyed by ``(region key,
-echo tag, encoding)``.  A warm request is a dict probe plus a splice of
-``envelope prefix + cached blob + "}"`` — no dict building, no
-``json.dumps``.  Coalescing happens at the same byte layer: followers
-receive the leader's encoded chunks and only prepend their own
-envelope prefix (their ``coalesced`` flag differs), with zero
-re-encode.  ``Accept-Encoding: gzip`` clients get a cached
-pre-compressed variant (compressed once, on the first gzip-accepting
-hit), and conditional requests short-circuit to 304 before any
+fragments, chunked emission) and the resulting blob is attached, per
+echo tag, to the service's answer-cache entry for the region key
+(:class:`repro.core.cache.AnswerEntry` — the only serving cache).  A
+warm request is one probe plus a splice of ``envelope prefix + cached
+blob + "}"`` — no dict building, no ``json.dumps``.  Coalescing
+happens at the same byte layer: followers receive the leader's encoded
+chunks and only prepend their own envelope prefix (their ``coalesced``
+flag differs), with zero re-encode.  ``Accept-Encoding: gzip`` clients
+get a cached pre-compressed variant (compressed once, on the first
+gzip-accepting hit), and conditional requests short-circuit to 304 before any
 execution: the weak ETag names ``(query class, region key, echo)``,
 and scoped region keys embed the snapshot epoch, so a publish changes
 the ETag by construction.
 
 Snapshot consistency: the gateway pins the current MVCC snapshot
-*before* decoding work begins, canonicalizes against the pinned view,
-coalesces on the canonical key (which embeds the snapshot epoch for
-generation-scoped queries, so region-equivalent requests can only ever
-share an execution on the *same* snapshot — see
+*before* decoding work begins, canonicalizes once against the pinned
+view, coalesces on the canonical key (which embeds the snapshot epoch
+for generation-scoped queries, so region-equivalent requests can only
+ever share an execution on the *same* snapshot — see
 :mod:`repro.serve.coalesce`), executes on the thread pool against the
 pinned snapshot, and releases the pin after the answer is encoded.
-The response cache observes pinned epochs and purges scoped entries of
-retired snapshots (:meth:`ResponseCache.observe_epoch`).
+Cached bytes of scoped keys live in the pinned snapshot's segment and
+retire with it; a gzip variant is served only under the envelope it
+was compressed with, so its baked-in epoch is always the pinned one.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union, cast
+from typing import Dict, Mapping, Optional, Tuple, Union, cast
 
 from repro.common.errors import (
     BuildInFlightError,
@@ -86,12 +87,6 @@ from repro.serve.protocol import (
     dumps_bytes,
     encode_answer_bytes,
     envelope_prefix,
-)
-from repro.serve.respcache import (
-    DEFAULT_RESPONSE_CACHE_BYTES,
-    GZIP,
-    ResponseCache,
-    ResponseKey,
 )
 from repro.service.keys import canonicalize, echo_tag
 from repro.service.service import TaraService
@@ -234,11 +229,11 @@ def _json_response(status: int, payload: JsonDict) -> WireResponse:
 class QueryGateway:
     """Routes requests onto one shared :class:`TaraService`.
 
-    The gateway itself is event-loop-confined (coalescer map, metrics,
-    response cache); only :meth:`TaraService.execute_on` calls and gzip
-    compression cross into the thread pool, and the service carries its
-    own lock.  One gateway serves exactly one loop — create it from the
-    loop that will dispatch on it.
+    The gateway itself is event-loop-confined (coalescer map, metrics);
+    only :meth:`TaraService.execute_on` calls, encoding and gzip
+    compression cross into the thread pool, and the service and its
+    cache tiers carry their own locks.  One gateway serves exactly one
+    loop — create it from the loop that will dispatch on it.
     """
 
     def __init__(
@@ -247,7 +242,6 @@ class QueryGateway:
         *,
         pool_size: int = DEFAULT_POOL_SIZE,
         metrics: Optional[ServerMetrics] = None,
-        response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES,
     ) -> None:
         if pool_size < 1:
             raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
@@ -258,7 +252,6 @@ class QueryGateway:
         self.pool_size = pool_size
         self.coalescer = RequestCoalescer()
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self.respcache = ResponseCache(response_cache_bytes)
         self._draining = False
 
     @property
@@ -275,6 +268,13 @@ class QueryGateway:
     def in_flight(self) -> int:
         """Requests currently being dispatched (drain watches this)."""
         return self.metrics.in_flight
+
+    def cache_counters(self) -> Dict[str, int]:
+        """The ``respcache`` section of ``/metrics``: byte-path counters
+        plus the answer cache's occupancy."""
+        cache = self._service.cache_info()
+        del cache["epoch"]
+        return {**self.metrics.respcache, **cache}
 
     def begin_drain(self) -> None:
         """Stop accepting query work; health checks report ``draining``."""
@@ -325,21 +325,6 @@ class QueryGateway:
         finally:
             self.metrics.exit()
 
-    async def dispatch(
-        self, method: str, target: str, body: bytes
-    ) -> Tuple[int, JsonDict]:
-        """Compatibility dispatch: ``(status, decoded envelope)``.
-
-        The pre-PR-10 entry point, kept for in-process callers and
-        tests that want the envelope as a dict; the wire transports use
-        :meth:`dispatch_wire` and never re-parse response bytes.
-        """
-        response = await self.dispatch_wire(method, target, body)
-        payload: JsonDict = (
-            json.loads(response.body) if response.content_length else {}
-        )
-        return response.status, payload
-
     def _endpoint_label(self, target: str) -> str:
         if target.startswith(QUERY_ROUTE_PREFIX):
             kind = target[len(QUERY_ROUTE_PREFIX) :]
@@ -376,8 +361,7 @@ class QueryGateway:
                 {
                     "ok": True,
                     "metrics": self.metrics.as_dict(
-                        self.coalescer.counters(),
-                        respcache=self.respcache.counters(),
+                        self.coalescer.counters(), cache=self.cache_counters()
                     ),
                     "service": self._service.metrics_snapshot(),
                 },
@@ -498,7 +482,7 @@ class QueryGateway:
             loop = asyncio.get_running_loop()
 
             def execute() -> Tuple[bytes, ...]:
-                answer = self._service.execute_on(snapshot, query)
+                answer = self._service.execute_on(snapshot, query, canonical)
                 return tuple(
                     encode_answer_bytes(canonical.query_class, answer)
                 )
@@ -516,66 +500,56 @@ class QueryGateway:
                     etag=None,
                 )
 
-            # A pinned epoch advancing past older scoped entries means
-            # those snapshots retired — drop their dead bytes.
-            self.respcache.observe_epoch(snapshot.epoch)
             echo = echo_tag(query)
             etag = answer_etag(canonical.query_class, canonical.key, echo)
             if headers is not None and _etag_matches(
                 headers.get("if-none-match"), etag
             ):
-                self.respcache.record_not_modified()
+                self.metrics.count("not_modified")
                 return WireResponse(304, (), (("ETag", etag), _VARY))
 
-            response_key: ResponseKey = (canonical.key, echo)
-            found = self.respcache.lookup(
-                response_key, accept_gzip=accept_gzip
-            )
-            if found is not None and found.encoding == GZIP:
-                self.respcache.record_served(len(found.body))
-                return WireResponse(
-                    200,
-                    (found.body,),
-                    (("Content-Encoding", "gzip"), ("ETag", etag), _VARY),
-                )
-            if found is not None:
-                blob = found.body
-                if accept_gzip:
-                    # First gzip-accepting hit: compress the complete
-                    # cached-variant body once (off-loop) and store it;
-                    # every later gzip client gets the variant above.
-                    prefix = envelope_prefix(
+            entry = self._service.lookup(snapshot, canonical)
+            blob = None if entry is None else entry.blob(echo)
+            if entry is not None and blob is not None:
+                self.metrics.count("hits")
+                if not accept_gzip:
+                    self.metrics.count("bytes_served", len(blob))
+                    return self._answer_response(
                         canonical.query_class,
                         snapshot.epoch,
+                        (blob,),
                         coalesced=False,
                         cached=True,
+                        etag=etag,
                     )
-                    compressed = await loop.run_in_executor(
-                        self._pool,
-                        _gzip_bytes,
-                        prefix + blob + ENVELOPE_SUFFIX,
-                    )
-                    self.respcache.put_gzip(
-                        response_key, compressed, canonical.epoch
-                    )
-                    self.respcache.record_served(len(compressed))
-                    return WireResponse(
-                        200,
-                        (compressed,),
-                        (
-                            ("Content-Encoding", "gzip"),
-                            ("ETag", etag),
-                            _VARY,
-                        ),
-                    )
-                self.respcache.record_served(len(blob))
-                return self._answer_response(
+                # A variant is a complete body, envelope included, so it
+                # is valid only under the envelope this request sends.
+                prefix = envelope_prefix(
                     canonical.query_class,
                     snapshot.epoch,
-                    (blob,),
                     coalesced=False,
                     cached=True,
-                    etag=etag,
+                )
+                cached_gzip = entry.gzip(echo, prefix)
+                if cached_gzip is None:
+                    # First gzip-accepting hit under this envelope:
+                    # compress once (off-loop) and attach the variant;
+                    # later gzip clients get it from the entry.
+                    minted = await loop.run_in_executor(
+                        self._pool, _gzip_bytes, prefix + blob + ENVELOPE_SUFFIX
+                    )
+                    self._service.attach(
+                        snapshot,
+                        canonical,
+                        lambda current: current.with_gzip(echo, prefix, minted),
+                    )
+                    self.metrics.count("gzip_variants")
+                    cached_gzip = minted
+                self.metrics.count("bytes_served", len(cached_gzip))
+                return WireResponse(
+                    200,
+                    (cached_gzip,),
+                    (("Content-Encoding", "gzip"), ("ETag", etag), _VARY),
                 )
 
             # Miss: execute + encode once, coalescing concurrent
@@ -586,6 +560,8 @@ class QueryGateway:
             # in-flight execution is only possible when both requests
             # pinned the same snapshot.  Epoch-free keys name explicit
             # immutable windows; any snapshot's bytes are the bytes.
+            self.metrics.count("misses")
+
             def supplier() -> "asyncio.Future[Tuple[bytes, ...]]":
                 return loop.run_in_executor(self._pool, execute)
 
@@ -594,13 +570,17 @@ class QueryGateway:
             )
             answer_chunks = cast(Tuple[bytes, ...], shared)
             if not coalesced:
-                # Only the leader stores: its echo tag matches the bytes
-                # it encoded.  (Coalesced followers share the leader's
-                # echoed floats, exactly as the pre-PR-10 answer-object
-                # sharing did.)
-                self.respcache.put(
-                    response_key, b"".join(answer_chunks), canonical.epoch
-                )
+                # Only the leader attaches: its echo tag matches the
+                # bytes it encoded.  (Coalesced followers share the
+                # leader's echoed floats.)  The execution stored the
+                # frozen answer; its bytes join that same entry.
+                encoded = b"".join(answer_chunks)
+                if self._service.attach(
+                    snapshot,
+                    canonical,
+                    lambda current: current.with_blob(echo, encoded),
+                ):
+                    self.metrics.count("stores")
             return self._answer_response(
                 canonical.query_class,
                 snapshot.epoch,

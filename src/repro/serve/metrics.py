@@ -4,8 +4,10 @@
 by status family and a latency histogram (reusing
 :class:`repro.service.metrics.LatencyHistogram` so the two tiers bucket
 identically), plus a concurrency gauge (current and peak in-flight
-requests) and an uptime-based requests-per-second figure.  Coalescer
-counters are merged into the snapshot by the gateway.
+requests), an uptime-based requests-per-second figure, and the
+request-level counters of the encoded-bytes path (:data:`BYTE_COUNTERS`,
+published as ``respcache``).  Coalescer counters and the answer cache's
+occupancy are merged into the snapshot by the gateway.
 
 Everything here is event-loop-confined: the gateway is the only writer
 and it runs on the server's asyncio loop, so no locks are needed — the
@@ -19,6 +21,20 @@ from typing import Dict, List, Optional
 from repro.common.timing import Ticker
 from repro.service.metrics import LatencyHistogram
 
+#: Request-level counters of the encoded-bytes path: requests answered
+#: from cached bytes (``hits``) or not (``misses``), identity blobs
+#: attached (``stores``), gzip variants compressed (``gzip_variants``),
+#: cached body bytes sent (``bytes_served``) and 304 answers
+#: (``not_modified``).
+BYTE_COUNTERS = (
+    "hits",
+    "misses",
+    "stores",
+    "gzip_variants",
+    "bytes_served",
+    "not_modified",
+)
+
 
 class ServerMetrics:
     """Per-endpoint counters for one :class:`repro.serve.server.TaraServer`."""
@@ -30,6 +46,7 @@ class ServerMetrics:
         self.latency: Dict[str, LatencyHistogram] = {}
         self.in_flight = 0
         self.peak_in_flight = 0
+        self.respcache: Dict[str, int] = dict.fromkeys(BYTE_COUNTERS, 0)
         self._order: List[str] = []
 
     def _register(self, endpoint: str) -> None:
@@ -47,6 +64,10 @@ class ServerMetrics:
     def exit(self) -> None:
         """A request finished (in-flight gauge down)."""
         self.in_flight -= 1
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to one of the :data:`BYTE_COUNTERS`."""
+        self.respcache[name] += amount
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
         """Record one completed request against *endpoint*."""
@@ -77,15 +98,15 @@ class ServerMetrics:
         self,
         coalesce: Dict[str, int],
         *,
-        respcache: Optional[Dict[str, int]] = None,
+        cache: Optional[Dict[str, int]] = None,
     ) -> Dict[str, object]:
         """JSON snapshot for the ``/metrics`` route.
 
         *coalesce* is the coalescer's counter snapshot
         (:meth:`repro.serve.coalesce.RequestCoalescer.counters`);
-        *respcache* the encoded-response cache's
-        (:meth:`repro.serve.respcache.ResponseCache.counters`) —
-        hit/miss/eviction/bytes-served accounting of the wire-hot path.
+        *cache* the answer cache's occupancy
+        (:meth:`repro.service.TaraService.cache_info`), merged with the
+        byte-path counters into the ``respcache`` section.
         """
         endpoints: Dict[str, object] = {}
         for endpoint in self._order:
@@ -102,9 +123,8 @@ class ServerMetrics:
             "peak_in_flight": self.peak_in_flight,
             "coalesce": dict(coalesce),
             "endpoints": endpoints,
+            "respcache": {**self.respcache, **(cache or {})},
         }
-        if respcache is not None:
-            snapshot["respcache"] = dict(respcache)
         return snapshot
 
     def report(self, title: str = "server metrics") -> str:

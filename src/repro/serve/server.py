@@ -25,6 +25,7 @@ from typing import Callable, Optional, Set, Tuple
 
 from repro.common.errors import ValidationError
 from repro.common.timing import Ticker
+from repro.core.cache import DEFAULT_CACHE_BYTES
 from repro.serve.gateway import (
     DEFAULT_POOL_SIZE,
     QueryGateway,
@@ -40,14 +41,10 @@ from repro.serve.httpd import (
     render_head,
     render_response,
 )
-from repro.serve.respcache import DEFAULT_RESPONSE_CACHE_BYTES
 from repro.service.service import ServiceSource, TaraService
 
 #: Default TCP port (unassigned range, stable across docs and tests).
 DEFAULT_PORT = 8765
-
-#: Default region-keyed cache capacity of the served service.
-DEFAULT_MAX_ENTRIES = 1024
 
 #: Default graceful-shutdown drain window, in seconds.
 DEFAULT_DRAIN_TIMEOUT = 5.0
@@ -62,16 +59,18 @@ class ServeConfig:
 
     ``port=0`` binds an ephemeral port — the bench harness and the test
     suite use that to run servers concurrently without collisions.
+    ``response_cache_bytes`` is the answer cache's one byte budget; it
+    is applied where the service is built (:func:`create_server`), and
+    :class:`TaraServer` refuses a service built with another budget.
     """
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     pool_size: int = DEFAULT_POOL_SIZE
     backlog: int = 100
-    max_entries: int = DEFAULT_MAX_ENTRIES
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
     max_body: int = DEFAULT_MAX_BODY
-    response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES
+    response_cache_bytes: int = DEFAULT_CACHE_BYTES
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -93,12 +92,13 @@ class TaraServer:
     """One listening socket in front of one :class:`QueryGateway`."""
 
     def __init__(self, service: TaraService, config: ServeConfig) -> None:
+        if service.cache_bytes != config.response_cache_bytes:
+            raise ValidationError(
+                f"response_cache_bytes is {config.response_cache_bytes} but "
+                f"the service was built with cache_bytes={service.cache_bytes}"
+            )
         self._config = config
-        self._gateway = QueryGateway(
-            service,
-            pool_size=config.pool_size,
-            response_cache_bytes=config.response_cache_bytes,
-        )
+        self._gateway = QueryGateway(service, pool_size=config.pool_size)
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._handlers: Set["asyncio.Task[None]"] = set()
@@ -252,7 +252,7 @@ class TaraServer:
 
 def create_server(source: ServiceSource, config: ServeConfig) -> TaraServer:
     """Build a server over a fresh :class:`TaraService` for *source*."""
-    service = TaraService(source, max_entries=config.max_entries)
+    service = TaraService(source, cache_bytes=config.response_cache_bytes)
     return TaraServer(service, config)
 
 

@@ -1,7 +1,7 @@
 """The thread-safe online serving façade over the TARA explorer.
 
 :class:`TaraService` answers the explorer's Q1/Q2/Q3/Q5 request classes
-through bounded, region-keyed LRU caches:
+through the serving answer cache (:mod:`repro.core.cache`):
 
 1. every request is canonicalized (:mod:`repro.service.keys`) to an
    all-integer key built from stable-region ids, so two settings inside
@@ -14,19 +14,28 @@ through bounded, region-keyed LRU caches:
    (:class:`repro.core.Snapshot`): the service pins the current view,
    canonicalizes and answers against it, and releases the pin when the
    answer is thawed.  Epoch-free entries (explicit windows, valid
-   forever because archived windows are immutable) live in a cache the
+   forever because archived windows are immutable) live in a tier the
    service owns; generation-scoped entries live in the *snapshot's own
    segment* and vanish wholesale when the snapshot retires.  There is
    no epoch re-check anywhere: an answer computed under a pin is
    correct for that pin by construction.
 
-Concurrency: one re-entrant lock guards the shared cache and metrics;
-the pinned snapshot guards its segment with its own lock (global order:
-``IncrementalTara._lock`` → ``TaraService._lock`` → ``Snapshot._lock``;
-no path here holds two of them at once).  Cache misses compute *outside*
-every lock, so a slow first query does not serialize the service;
-concurrent misses on the same key each compute and the last write wins
-(benign — region equivalence guarantees they computed equal answers).
+Both tiers are :class:`~repro.core.storage.lru.ByteBudgetLRU` instances
+under one byte budget (``cache_bytes``, each tier bounded by it), and
+an entry also carries the encoded bytes the network tier attaches to it
+(:meth:`TaraService.lookup` / :meth:`TaraService.attach`), so one entry
+per region key is the only serving cache.
+
+Concurrency: one re-entrant service lock guards the metrics, the
+retirement bookkeeping and every read-modify-write of an entry
+(:meth:`TaraService.store` / :meth:`TaraService.attach`), so a
+concurrent attachment is never lost; plain lookups rely on the tiers'
+own locks (global order: ``IncrementalTara._lock`` →
+``TaraService._lock`` → ``Snapshot._lock`` → ``ByteBudgetLRU._lock``).
+Cache misses compute *outside* every lock, so a slow first query does
+not serialize the service; concurrent misses on the same key each
+compute and the first store wins (benign — region equivalence
+guarantees they computed equal answers).
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import replace
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -48,6 +58,7 @@ from typing import (
 from repro.common.errors import ValidationError
 from repro.common.timing import stopwatch
 from repro.core.builder import TaraKnowledgeBase
+from repro.core.cache import DEFAULT_CACHE_BYTES, AnswerEntry, answer_cost
 from repro.core.explorer import ExplorerAnswer, TaraExplorer
 from repro.core.incremental import IncrementalTara
 from repro.core.queries import (
@@ -65,13 +76,13 @@ from repro.core.queries import (
     TrajectoryQuery,
 )
 from repro.core.regions import ParameterSetting
-from repro.core.snapshot import Snapshot, SnapshotHandle
+from repro.core.snapshot import Segment, Snapshot, SnapshotHandle
+from repro.core.storage.lru import ByteBudgetLRU
 from repro.data.items import ItemId
 from repro.data.periods import PeriodSpec
 from repro.data.transactions import Transaction
 from repro.mining.rules import RuleId
-from repro.service.cache import CacheEntry, RegionKeyedCache
-from repro.service.keys import EPOCH_FREE, CacheKey, CanonicalQuery, canonicalize
+from repro.service.keys import CanonicalQuery, canonicalize
 from repro.service.metrics import ServiceMetrics
 
 #: Sources a service can wrap.
@@ -92,11 +103,12 @@ class TaraService:
         self,
         source: ServiceSource,
         *,
-        max_entries: int = 1024,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         self._lock = threading.RLock()
-        self._shared = RegionKeyedCache(max_entries=max_entries)  # repro-lint: guarded-by=_lock
+        self.cache_bytes = cache_bytes
+        self._shared: Segment = ByteBudgetLRU(cache_bytes)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._retired_seen = 0  # repro-lint: guarded-by=_lock
         # Exactly one of the two is set, in __init__, and never rebound:
@@ -110,15 +122,12 @@ class TaraService:
             static = Snapshot(
                 source.knowledge_base.window_count,
                 source.knowledge_base,
-                segment_capacity=max_entries,
                 explorer=source,
             )
             static.pin()
             self._static = static
         elif isinstance(source, TaraKnowledgeBase):
-            static = Snapshot(
-                source.window_count, source, segment_capacity=max_entries
-            )
+            static = Snapshot(source.window_count, source)
             static.pin()
             self._static = static
         else:
@@ -157,23 +166,31 @@ class TaraService:
             return snapshot.epoch
 
     def cache_info(self) -> Dict[str, int]:
-        """Occupancy and lifetime evictions across both cache tiers.
+        """Occupancy and lifetime accounting across both cache tiers.
 
-        ``entries`` counts the shared (epoch-free) cache plus the
-        current snapshot's segment; segments of retired snapshots are
-        gone and accounted as invalidations in :attr:`metrics`.
+        Counts sum the shared (epoch-free) tier and the current
+        snapshot's segment; segments of retired snapshots are gone and
+        accounted as invalidations in :attr:`metrics`.
         """
         self._sync_retirements()
+        info = {
+            name: 0
+            for name in (
+                "entries", "current_bytes", "peak_bytes", "evictions",
+                "rejected",
+            )
+        }
         with self.pin() as snapshot:
-            segment_entries, segment_evictions = snapshot.segment_info()
+            segment = snapshot.segment(self.cache_bytes)
             epoch = snapshot.epoch
-        with self._lock:
-            return {
-                "entries": len(self._shared) + segment_entries,
-                "max_entries": self._shared.max_entries,
-                "evictions": self._shared.evictions + segment_evictions,
-                "epoch": epoch,
-            }
+        tiers = [self._shared] if segment is None else [self._shared, segment]
+        for tier in tiers:
+            counters = tier.counters()
+            for name in info:
+                info[name] += counters[name]
+        info["budget_bytes"] = self.cache_bytes
+        info["epoch"] = epoch
+        return info
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Service-tier metrics dict with fresh storage gauges.
@@ -271,35 +288,39 @@ class TaraService:
             return self.execute_on(snapshot, query)
 
     def execute_on(
-        self, snapshot: Snapshot, query: ExplorerQuery
+        self,
+        snapshot: Snapshot,
+        query: ExplorerQuery,
+        canonical: Optional[CanonicalQuery] = None,
     ) -> ExplorerAnswer:
         """Serve one request against an already-pinned *snapshot*.
 
         The serving gateway pins once per request (so canonicalization,
-        coalescing, and execution all observe one view) and calls this;
-        the caller owns the pin and must hold it until the answer is
-        returned.
+        coalescing, and execution all observe one view), canonicalizes
+        once, and passes the *canonical* form in; without it the query
+        is canonicalized here.  The caller owns the pin and must hold it
+        until the answer is returned.
         """
         with stopwatch() as clock:
-            canonical = canonicalize(
-                query, snapshot.knowledge_base, snapshot.epoch
-            )
-            hit = False
-            frozen: object = None
-            if canonical.key is not None:
-                entry = self._cache_get(canonical.key, canonical, snapshot)
-                if entry is not None:
-                    hit = True
-                    frozen = entry.value
-            if not hit:
+            if canonical is None:
+                canonical = canonicalize(
+                    query, snapshot.knowledge_base, snapshot.epoch
+                )
+            entry = self.lookup(snapshot, canonical)
+            hit = entry is not None
+            if entry is not None:
+                frozen = entry.value
+            else:
                 answer = snapshot.explorer().execute(canonical.resolved)
                 frozen = self._freeze(canonical, answer)
                 if canonical.key is not None:
-                    evicted = self._cache_put(
-                        canonical.key, canonical, snapshot, frozen
+                    self.store(
+                        snapshot,
+                        canonical,
+                        AnswerEntry(
+                            frozen, answer_cost(canonical.query_class, frozen)
+                        ),
                     )
-                    with self._lock:
-                        self.metrics.record_evictions(evicted)
             result = self._thaw(canonical, query, frozen)
         self._sync_retirements()
         with self._lock:
@@ -321,34 +342,83 @@ class TaraService:
     # ------------------------------------------------------------------
     # the two cache tiers
     # ------------------------------------------------------------------
-    def _cache_get(
-        self, key: CacheKey, canonical: CanonicalQuery, snapshot: Snapshot
-    ) -> Optional[CacheEntry]:
-        """Look *key* up in the tier the canonical query belongs to."""
-        if canonical.scoped:
-            return snapshot.cached(key)
-        with self._lock:
-            return self._shared.get(key)
+    def _tier(
+        self, snapshot: Snapshot, canonical: CanonicalQuery
+    ) -> Optional[Segment]:
+        """The tier *canonical* belongs to (``None`` once retired).
 
-    def _cache_put(
-        self,
-        key: CacheKey,
-        canonical: CanonicalQuery,
-        snapshot: Snapshot,
-        frozen: object,
-    ) -> int:
-        """Store into the right tier; returns how many entries evicted.
-
-        Scoped answers go into the pinned snapshot's segment — always
-        correct, because the value was computed against exactly that
-        view; when the snapshot retires, the whole segment goes with
-        it.  Epoch-free answers go into the service-owned shared cache
-        and outlive every snapshot.
+        Scoped answers live in the pinned snapshot's segment — always
+        correct, because they were computed against exactly that view,
+        and gone when the snapshot retires.  Epoch-free answers live in
+        the service-owned shared tier and outlive every snapshot.
         """
         if canonical.scoped:
-            return snapshot.store(key, frozen)
+            return snapshot.segment(self.cache_bytes)
+        return self._shared
+
+    def lookup(
+        self, snapshot: Snapshot, canonical: CanonicalQuery
+    ) -> Optional[AnswerEntry]:
+        """The cached entry for *canonical* on *snapshot*, or ``None``.
+
+        Refreshes the entry's recency; records no metrics (the network
+        tier probes here for encoded bytes before it executes).
+        """
+        key = canonical.key
+        tier = self._tier(snapshot, canonical)
+        if key is None or tier is None:
+            return None
+        return tier.get(key)
+
+    def store(
+        self, snapshot: Snapshot, canonical: CanonicalQuery, entry: AnswerEntry
+    ) -> None:
+        """Cache *entry* under *canonical*'s key unless one is there.
+
+        A racing miss that computed the same answer keeps the entry
+        already stored (it may carry attached bytes).  The tier charges
+        the entry's cost, evicting least-recently-used entries, and
+        rejects an entry that alone exceeds the budget.
+        """
+        self._update(snapshot, canonical, lambda current: current or entry)
+
+    def attach(
+        self,
+        snapshot: Snapshot,
+        canonical: CanonicalQuery,
+        extend: Callable[[AnswerEntry], AnswerEntry],
+    ) -> bool:
+        """Replace the key's entry by ``extend(entry)``; False if absent.
+
+        The network tier attaches encoded bytes this way
+        (:meth:`AnswerEntry.with_blob` / :meth:`AnswerEntry.with_gzip`);
+        the successor is re-charged at its new cost.
+        """
+        return self._update(
+            snapshot,
+            canonical,
+            lambda current: None if current is None else extend(current),
+        )
+
+    def _update(
+        self,
+        snapshot: Snapshot,
+        canonical: CanonicalQuery,
+        change: Callable[[Optional[AnswerEntry]], Optional[AnswerEntry]],
+    ) -> bool:
+        """Read-modify-write one key under the service lock."""
+        key = canonical.key
+        tier = self._tier(snapshot, canonical)
+        if key is None or tier is None:
+            return False
         with self._lock:
-            return self._shared.put(key, frozen, EPOCH_FREE)
+            current = tier.get(key)
+            successor = change(current)
+            if successor is None or successor is current:
+                return False
+            evicted = tier.put(key, successor, successor.cost)
+            self.metrics.record_evictions(evicted)
+        return True
 
     # ------------------------------------------------------------------
     # freeze / thaw

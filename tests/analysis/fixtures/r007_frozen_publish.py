@@ -4,17 +4,27 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 
-class RegionKeyedCache:
-    def put(self, key, value, epoch):
-        return 0
+@dataclass(frozen=True)
+class AnswerEntry:
+    value: object
+    value_cost: int
+    blobs: Tuple[Tuple[Tuple[float, ...], bytes], ...] = ()
+
+    def with_blob(self, echo, blob):
+        return self
+
+    def with_gzip(self, echo, prefix, body):
+        return self
 
 
-class ResponseCache:
-    def put(self, key, value, epoch):
-        return 0
+class TaraService:
+    def store(self, snapshot, canonical, entry):
+        return None
 
-    def put_gzip(self, key, value, epoch):
-        return 0
+    def remember(self, snapshot, canonical, rows) -> None:
+        staged = [tuple(row) for row in rows]
+        value = tuple(staged)  # frozen before the sink
+        self.store(snapshot, canonical, AnswerEntry(value, 100))
 
 
 @dataclass(frozen=True)
@@ -24,24 +34,18 @@ class Answer:
 
 
 class Service:
-    def __init__(self) -> None:
-        self._cache = RegionKeyedCache()
-
-    def store(self, key, rows) -> None:
-        staged = [tuple(row) for row in rows]
-        value = tuple(staged)  # frozen before the sink
-        self._cache.put(key, value, 3)
-
     # repro-lint: publish
     def freeze(self, rows):
         return tuple(tuple(row) for row in rows)
 
 
 class Gateway:
-    def __init__(self) -> None:
-        self._respcache = ResponseCache()
+    def __init__(self, service: TaraService) -> None:
+        self._service = service
 
-    def store_body(self, key, chunks) -> None:
-        value = b"".join(chunks)  # bytes are frozen before the sink
-        self._respcache.put(key, value, 3)
-        self._respcache.put_gzip(key, value, 3)
+    def attach(self, snapshot, canonical, entry, chunks) -> None:
+        body = b"".join(chunks)  # bytes are frozen before the sinks
+        self._service.store(snapshot, canonical, entry.with_blob((), body))
+        self._service.store(
+            snapshot, canonical, entry.with_gzip((), b"{", body)
+        )

@@ -4,17 +4,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 
-class RegionKeyedCache:
-    def put(self, key, value, epoch):
-        return 0
+class TaraService:
+    def store(self, snapshot, canonical, entry):
+        return None
 
-
-class ResponseCache:
-    def put(self, key, value, epoch):
-        return 0
-
-    def put_gzip(self, key, value, epoch):
-        return 0
+    def remember(self, snapshot, canonical, rows) -> None:
+        entry = [tuple(row) for row in rows]
+        self.store(snapshot, canonical, entry)  # list into the cache -> finding
 
 
 @dataclass(frozen=True)
@@ -24,26 +20,22 @@ class Answer:
 
 
 class Service:
-    def __init__(self) -> None:
-        self._cache = RegionKeyedCache()
-
-    def store(self, key, rows) -> None:
-        value = [tuple(row) for row in rows]
-        self._cache.put(key, value, 3)  # list into the cache -> finding
-
     # repro-lint: publish
     def freeze(self, rows):
         return {row[0]: row for row in rows}  # dict published -> finding
 
 
 class Gateway:
-    def __init__(self) -> None:
-        self._respcache = ResponseCache()
+    def __init__(self, service: TaraService) -> None:
+        self._service = service
 
-    def store_body(self, key, chunks) -> None:
-        value = bytearray(b"".join(chunks))
-        self._respcache.put(key, value, 3)  # bytearray body -> finding
+    def attach(self, snapshot, canonical, entry, chunks) -> None:
+        body = bytearray(b"".join(chunks))
+        entry.with_blob((), body)  # bytearray body -> finding
 
-    def store_variant(self, key, frames) -> None:
-        value = list(frames)
-        self._respcache.put_gzip(key, value, 3)  # list body -> finding
+    def attach_variant(self, snapshot, canonical, entry, frames) -> None:
+        body = list(frames)
+        entry.with_gzip((), b"{", body)  # list body -> finding
+
+    def store_raw(self, snapshot, canonical, rows) -> None:
+        self._service.store(snapshot, canonical, entry=dict(rows))  # -> finding

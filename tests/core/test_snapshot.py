@@ -15,6 +15,7 @@ from repro.core import (
     TrajectoryQuery,
     build_knowledge_base,
 )
+from repro.core.cache import AnswerEntry
 from repro.core.snapshot import Snapshot
 from repro.data import TransactionDatabase, WindowedDatabase
 from repro.serve.protocol import encode_answer
@@ -72,19 +73,20 @@ class TestPinLifecycle:
 class TestRetirement:
     def test_segment_dies_with_the_snapshot(self, publisher, small_windows):
         snapshot = publisher.current
-        snapshot.store((1, 2, 3), "answer")
-        assert snapshot.cached((1, 2, 3)).value == "answer"
-        assert snapshot.segment_info() == (1, 0)
+        segment = snapshot.segment(1 << 20)
+        segment.put((1, 2, 3), AnswerEntry("answer", 100), 100)
+        assert snapshot.segment(1 << 20) is segment
+        assert segment.get((1, 2, 3)).value == "answer"
         publisher.publish([small_windows.window(2)])
         assert snapshot.retired
-        assert snapshot.cached((1, 2, 3)) is None
-        assert snapshot.segment_info() == (0, 0)
+        assert len(segment) == 0
+        assert snapshot.segment(1 << 20) is None
 
     def test_store_after_retire_is_dropped(self, publisher, small_windows):
         snapshot = publisher.current
         publisher.publish([small_windows.window(2)])
-        assert snapshot.store((1, 2, 3), "late answer") == 0
-        assert snapshot.cached((1, 2, 3)) is None
+        # A retired snapshot hands out no segment to store into.
+        assert snapshot.segment(1 << 20) is None
 
     def test_reader_pin_defers_retirement(self, publisher, small_windows):
         handle = publisher.snapshot()
@@ -134,8 +136,9 @@ class TestRetirement:
         )
         snapshot = Snapshot(2, kb, on_retire=dropped.append)
         snapshot.pin()
-        snapshot.store((1,), "a")
-        snapshot.store((2,), "b")
+        segment = snapshot.segment(1 << 20)
+        segment.put((1,), AnswerEntry("a", 100), 100)
+        segment.put((2,), AnswerEntry("b", 100), 100)
         snapshot.release()
         assert dropped == [2]
 

@@ -51,7 +51,7 @@ class TestGenerate:
         assert len(read_fimi(fimi_file)) == 1500
 
     def test_faers_output_readable(self, reports_file):
-        from repro.data.io import read_reports
+        from repro.maras.io import read_reports
 
         assert len(read_reports(reports_file)) == 1500
 

@@ -27,10 +27,12 @@ def running_server():
     async def _run(
         source: Union[TaraKnowledgeBase, TaraService], **overrides: object
     ) -> AsyncIterator[TaraServer]:
-        service = (
-            source if isinstance(source, TaraService) else TaraService(source)
-        )
         config = ServeConfig(port=0, **overrides)  # type: ignore[arg-type]
+        service = (
+            source
+            if isinstance(source, TaraService)
+            else TaraService(source, cache_bytes=config.response_cache_bytes)
+        )
         server = TaraServer(service, config)
         await server.start()
         try:

@@ -42,6 +42,12 @@ def _request_bytes(query):
     return f"/v1/query/{kind}", json.dumps(payload).encode("utf-8")
 
 
+async def _post(gateway, target, body):
+    """One query through ``dispatch_wire``: ``(status, decoded envelope)``."""
+    response = await gateway.dispatch_wire("POST", target, body)
+    return response.status, json.loads(response.body)
+
+
 def test_concurrent_identical_requests_coalesce(small_kb):
     async def scenario():
         service = TaraService(small_kb)
@@ -51,18 +57,18 @@ def test_concurrent_identical_requests_coalesce(small_kb):
         executions = []
         original = service.execute_on
 
-        def gated_execute(snapshot, query):
+        def gated_execute(snapshot, query, canonical=None):
             executions.append(1)
             started.set()
             release.wait(timeout=5.0)
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = gated_execute  # instance shadow, test-only
         target, body = _request_bytes(
             TrajectoryQuery(setting=SETTING, anchor_window=0)
         )
         tasks = [
-            asyncio.create_task(gateway.dispatch("POST", target, body))
+            asyncio.create_task(_post(gateway, target, body))
             for _ in range(6)
         ]
         # Wait until the leader is inside the (blocked) execution, then
@@ -100,21 +106,21 @@ def test_publish_mid_flight_never_changes_the_pinned_answer(small_windows):
         original = service.execute_on
         raced = []
 
-        def racing_execute(snapshot, query):
+        def racing_execute(snapshot, query, canonical=None):
             # The publish lands after the gateway pinned its snapshot
             # (epoch 2) but before the execution returns: exactly the
             # race the pinned handle exists to make unobservable.
             if not raced:
                 raced.append(True)
                 incremental.publish([small_windows.window(2)])
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = racing_execute  # instance shadow, test-only
         # spec=None => generation-scoped: resolves to "all windows" of
         # the pinned snapshot.
         query = TrajectoryQuery(setting=SETTING, anchor_window=0)
         target, body = _request_bytes(query)
-        status, envelope = await gateway.dispatch("POST", target, body)
+        status, envelope = await _post(gateway, target, body)
         gateway.aclose()
         # A serial rebuild at the pinned snapshot's window count is the
         # reference the served answer must be identical to.
@@ -150,9 +156,9 @@ def test_graceful_drain_finishes_in_flight_requests(
         service = TaraService(small_kb)
         original = service.execute_on
 
-        def slow_execute(snapshot, query):
+        def slow_execute(snapshot, query, canonical=None):
             time.sleep(0.2)
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = slow_execute  # instance shadow, test-only
         async with running_server(service, drain_timeout=5.0) as server:

@@ -15,10 +15,18 @@ import json
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.core import ParameterSetting, TrajectoryQuery
+from repro.core import (
+    GenerationConfig,
+    IncrementalTara,
+    ParameterSetting,
+    RecommendQuery,
+    TrajectoryQuery,
+)
 from repro.serve import auto_pool_size, resolve_pool_size
 from repro.serve.client import ServeClient
+from repro.serve.gateway import QueryGateway
 from repro.serve.protocol import encode_request
+from repro.service import TaraService
 
 SETTING = ParameterSetting(min_support=0.02, min_confidence=0.1)
 QUERY = TrajectoryQuery(setting=SETTING, anchor_window=0)
@@ -188,6 +196,40 @@ class TestGzipNegotiation:
         headers, body = asyncio.run(scenario())
         assert "content-encoding" not in headers
         assert json.loads(body)["cached"] is True
+
+
+class TestGzipEnvelopeAfterPublish:
+    def test_epoch_free_variant_names_the_pinned_snapshot(self, small_windows):
+        # An explicit-window key survives publishes; its gzip variant is a
+        # complete body with the minting snapshot's epoch baked in, so it
+        # must not be replayed to a request pinned to a later snapshot.
+        incremental = IncrementalTara(GenerationConfig(0.02, 0.1))
+        incremental.publish([small_windows.window(0), small_windows.window(1)])
+        gateway = QueryGateway(TaraService(incremental), pool_size=1)
+        target, payload = wire(RecommendQuery(setting=SETTING, window=0))
+        body = json.dumps(payload).encode("utf-8")
+        accept = {"accept-encoding": "gzip"}
+
+        async def both_encodings():
+            seen = []
+            for headers in (accept, accept, None):
+                response = await gateway.dispatch_wire(
+                    "POST", target, body, headers
+                )
+                raw = response.body
+                if dict(response.headers).get("Content-Encoding") == "gzip":
+                    raw = gzip.decompress(raw)
+                seen.append(json.loads(raw))
+            return seen
+
+        before = asyncio.run(both_encodings())
+        incremental.publish([small_windows.window(2)])
+        after = asyncio.run(both_encodings())
+        gateway.aclose()
+        assert [e["snapshot_epoch"] for e in before] == [2, 2, 2]
+        assert [e["snapshot_epoch"] for e in after] == [3, 3, 3]
+        assert [e["epoch"] for e in after] == [3, 3, 3]
+        assert all(e["answer"] == before[0]["answer"] for e in before + after)
 
 
 class TestConditionalRequests:

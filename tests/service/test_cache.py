@@ -1,67 +1,107 @@
-"""LRU and segment-retirement behaviour of the region-keyed cache."""
+"""LRU and segment-retirement behaviour of the serving answer cache.
+
+One immutable :class:`~repro.core.cache.AnswerEntry` per canonical key,
+stored through :meth:`TaraService.store` into a byte-budgeted tier: the
+service's shared tier for epoch-free keys, the pinned snapshot's segment
+for scoped ones.
+"""
 
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.service import EPOCH_FREE, RegionKeyedCache
+from repro.core import GenerationConfig, IncrementalTara, RecommendQuery
+from repro.core.cache import AnswerEntry
+from repro.core.storage.lru import ByteBudgetLRU
+from repro.service import EPOCH_FREE, CanonicalQuery, TaraService
+
+
+def canonical(key, *, epoch=EPOCH_FREE):
+    """A hand-made canonical query: only the key and its scope matter."""
+    return CanonicalQuery("Q3", RecommendQuery(setting=None), key, epoch)
+
+
+def entry(value, cost=100):
+    return AnswerEntry(value, cost)
 
 
 class TestLru:
-    def test_put_get_roundtrip(self):
-        cache = RegionKeyedCache(max_entries=4)
-        assert cache.get((1,)) is None
-        cache.put((1,), "a", EPOCH_FREE)
-        entry = cache.get((1,))
-        assert entry is not None and entry.value == "a"
-        assert len(cache) == 1 and (1,) in cache
+    def test_put_get_roundtrip(self, small_kb):
+        service = TaraService(small_kb)
+        with service.pin() as snapshot:
+            assert service.lookup(snapshot, canonical((1,))) is None
+            service.store(snapshot, canonical((1,)), entry("a"))
+            found = service.lookup(snapshot, canonical((1,)))
+            assert found is not None and found.value == "a"
+        assert service.cache_info()["entries"] == 1
 
-    def test_bound_evicts_least_recently_used(self):
-        cache = RegionKeyedCache(max_entries=2)
-        cache.put((1,), "a", EPOCH_FREE)
-        cache.put((2,), "b", EPOCH_FREE)
-        cache.get((1,))  # refresh (1,) so (2,) is now the LRU victim
-        evicted = cache.put((3,), "c", EPOCH_FREE)
-        assert evicted == 1
-        assert cache.get((2,)) is None
-        assert cache.get((1,)) is not None and cache.get((3,)) is not None
-        assert cache.evictions == 1
+    def test_bound_evicts_least_recently_used(self, small_kb):
+        service = TaraService(small_kb, cache_bytes=200)
+        with service.pin() as snapshot:
+            service.store(snapshot, canonical((1,)), entry("a"))
+            service.store(snapshot, canonical((2,)), entry("b"))
+            service.lookup(snapshot, canonical((1,)))  # (2,) is now the victim
+            service.store(snapshot, canonical((3,)), entry("c"))
+            assert service.lookup(snapshot, canonical((2,))) is None
+            assert service.lookup(snapshot, canonical((1,))) is not None
+            assert service.lookup(snapshot, canonical((3,))) is not None
+        assert service.cache_info()["evictions"] == 1
+        assert service.metrics.evictions == 1
 
-    def test_refreshing_put_does_not_grow(self):
-        cache = RegionKeyedCache(max_entries=2)
-        cache.put((1,), "a", EPOCH_FREE)
-        cache.put((1,), "a2", EPOCH_FREE)
-        assert len(cache) == 1
-        entry = cache.get((1,))
-        assert entry is not None and entry.value == "a2"
+    def test_refreshing_put_does_not_grow(self, small_kb):
+        service = TaraService(small_kb)
+        attach_bytes = lambda current: current.with_blob((), b"bytes")  # noqa: E731
+        with service.pin() as snapshot:
+            assert not service.attach(snapshot, canonical((1,)), attach_bytes)
+            service.store(snapshot, canonical((1,)), entry("a"))
+            # A racing miss keeps the entry already there (and its bytes).
+            assert service.attach(snapshot, canonical((1,)), attach_bytes)
+            service.store(snapshot, canonical((1,)), entry("a2"))
+            found = service.lookup(snapshot, canonical((1,)))
+        assert found is not None and found.value == "a"
+        assert found.blob(()) == b"bytes"
+        info = service.cache_info()
+        assert info["entries"] == 1
+        assert info["current_bytes"] == 100 + len(b"bytes")
 
-    def test_clear_reports_dropped(self):
-        cache = RegionKeyedCache(max_entries=4)
-        cache.put((1,), "a", EPOCH_FREE)
-        cache.put((2,), "b", 3)
-        assert cache.clear() == 2
-        assert len(cache) == 0
+    def test_clear_reports_dropped(self, small_windows):
+        incremental = IncrementalTara(GenerationConfig(0.02, 0.1))
+        incremental.publish([small_windows.window(0)])
+        service = TaraService(incremental)
+        with service.pin() as snapshot:
+            service.store(snapshot, canonical((1,), epoch=1), entry("a"))
+            service.store(snapshot, canonical((2,), epoch=1), entry("b"))
+            service.store(snapshot, canonical((3,)), entry("free"))
+        incremental.publish([small_windows.window(1)])
+        # The retired segment reported both scoped entries it dropped.
+        assert incremental.retired_entries() == 2
+        assert service.cache_info()["entries"] == 1
+        assert service.cache_info()["epoch"] == 2
 
-    def test_nonpositive_bound_rejected(self):
-        with pytest.raises(ValidationError, match="max_entries"):
-            RegionKeyedCache(max_entries=0)
+    def test_nonpositive_bound_rejected(self, small_kb):
+        with pytest.raises(ValidationError, match="budget"):
+            TaraService(small_kb, cache_bytes=0)
 
 
 class TestSegmentRetirement:
-    def test_per_entry_purge_protocol_is_gone(self):
-        # PR 8 retired purge_scoped_except: scoped entries live in a
-        # snapshot's private segment and die with it, in one clear().
-        assert not hasattr(RegionKeyedCache(max_entries=2), "purge_scoped_except")
+    def test_per_entry_purge_protocol_is_gone(self, small_kb):
+        # Scoped entries live in a snapshot's private segment and die
+        # with it, in one clear(); nothing purges entry by entry.
+        service = TaraService(small_kb)
+        with service.pin() as snapshot:
+            for owner in (service, snapshot, ByteBudgetLRU(1)):
+                assert not hasattr(owner, "purge_scoped_except")
+                assert not hasattr(owner, "observe_epoch")
 
     def test_clear_is_idempotent(self):
-        cache = RegionKeyedCache(max_entries=8)
-        cache.put((1,), "scoped", 2)
-        cache.put((2,), "free", EPOCH_FREE)
-        assert cache.clear() == 2
-        assert cache.clear() == 0
+        segment = ByteBudgetLRU(1 << 10)
+        segment.put((1,), entry("scoped"), 100)
+        segment.put((2,), entry("free"), 100)
+        assert segment.clear() == 2
+        assert segment.clear() == 0
 
     def test_canonical_home_is_core(self):
-        # The serving-tier import path must stay an alias of the core
-        # container, not a fork of it.
-        from repro.core.cache import RegionKeyedCache as core_cache
-
-        assert RegionKeyedCache is core_cache
+        # The entry lives below the service so snapshots can hold it;
+        # the old serving-tier import path is gone, not forked.
+        assert AnswerEntry.__module__ == "repro.core.cache"
+        with pytest.raises(ImportError):
+            import repro.service.cache  # noqa: F401

@@ -20,7 +20,7 @@ from repro.core import (
     ParameterSetting,
     RecommendQuery,
 )
-from repro.service import TaraService
+from repro.service import TaraService, canonicalize
 
 SETTING = ParameterSetting(0.05, 0.3)
 
@@ -140,3 +140,46 @@ class TestPinReleaseStorm:
         # the first publish superseded it) and this one.
         stats = incremental.snapshot_stats()
         assert stats["retired_snapshots"] == 2
+
+
+class TestEntryAttachRace:
+    def test_concurrent_attaches_lose_no_variant(self, small_kb):
+        # Every thread attaches its own echo's bytes to one shared entry;
+        # a lost read-modify-write update would drop some of them.
+        import sys
+
+        service = TaraService(small_kb)
+        query = RecommendQuery(setting=SETTING, window=0)
+        service.execute(query)
+        workers, rounds = 8, 25
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service.pin() as snapshot:
+                canonical = canonicalize(
+                    query, snapshot.knowledge_base, snapshot.epoch
+                )
+
+                def attacher(worker):
+                    for step in range(rounds):
+                        echo = (float(worker), float(step))
+                        service.attach(
+                            snapshot,
+                            canonical,
+                            lambda entry: entry.with_blob(echo, b"x"),
+                        )
+
+                threads = [
+                    threading.Thread(target=attacher, args=(worker,))
+                    for worker in range(workers)
+                ]
+                run_all(threads)
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                entry = service.lookup(snapshot, canonical)
+        finally:
+            sys.setswitchinterval(saved)
+        assert entry is not None
+        assert len(entry.blobs) == workers * rounds
+        assert service.cache_info()["current_bytes"] == entry.cost

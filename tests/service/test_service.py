@@ -138,7 +138,12 @@ class TestSnapshotRetirement:
 
 class TestMetricsAndBounds:
     def test_evictions_reach_the_metrics(self, small_kb, base_setting):
-        service = TaraService(small_kb, max_entries=1)
+        probe = TaraService(small_kb)
+        probe.trajectories(base_setting, anchor_window=0)
+        # A budget that holds the first answer and nothing next to it.
+        service = TaraService(
+            small_kb, cache_bytes=probe.cache_info()["current_bytes"]
+        )
         service.trajectories(base_setting, anchor_window=0)
         service.trajectories(ParameterSetting(0.1, 0.5), anchor_window=0)
         info = service.cache_info()
