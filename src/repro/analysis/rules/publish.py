@@ -15,10 +15,10 @@ Three publish surfaces are checked:
 
 * the ``entry`` argument of :meth:`TaraService.store` — the one store
   path of the answer cache — and the byte arguments of the entry's
-  successor builders :meth:`AnswerEntry.with_blob` /
-  :meth:`AnswerEntry.with_gzip`, through which every encoded variant is
-  attached (a ``bytearray`` body there would corrupt wire bytes for all
-  future readers);
+  builders :meth:`AnswerEntry.of_blob` / :meth:`AnswerEntry.with_blob`
+  / :meth:`AnswerEntry.with_gzip`, through which every encoded variant
+  is attached (a ``bytearray`` body there would corrupt wire bytes for
+  all future readers);
 * every ``return`` of a function marked with a trailing
   ``repro-lint: publish`` directive on its ``def`` line (seeded on the
   service's freeze hook) — the declared freeze boundary;
@@ -61,6 +61,7 @@ PUT_SINKS: Tuple[Tuple[str, str, int, str], ...] = (
 #: ... plus the answer entry's successor builders, matched on any
 #: receiver (it is usually a local entry the index cannot type).
 ENTRY_SINKS: Tuple[Tuple[str, str, int, str], ...] = (
+    ("AnswerEntry", "of_blob", 1, "blob"),
     ("AnswerEntry", "with_blob", 1, "blob"),
     ("AnswerEntry", "with_gzip", 2, "body"),
 )

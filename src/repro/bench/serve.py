@@ -90,7 +90,7 @@ import gzip
 import json
 import os
 import platform
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro._version import __version__
 from repro.bench.online import _build, _cell_queries
@@ -101,7 +101,11 @@ from repro.common.timing import stopwatch
 from repro.core import ExplorerQuery, ParameterSetting, TaraKnowledgeBase
 from repro.serve.client import ServeClient
 from repro.serve.gateway import resolve_pool_size
-from repro.serve.protocol import encode_answer_blob, encode_request
+from repro.serve.protocol import (
+    encode_answer_blob,
+    encode_request,
+    envelope_prefix,
+)
 from repro.serve.server import ServeConfig, TaraServer
 from repro.service.service import TaraService
 
@@ -198,8 +202,9 @@ async def _run_cell(
     try:
         with stopwatch() as cold_wall:
             # Round 1: every client races the same query at a cold
-            # cache — the coalescing window (answers are identity-coded:
-            # the gzip variant only exists after a warm hit).
+            # cache — the coalescing window (each miss is compressed
+            # under its own envelope; the cached variant only exists
+            # after a warm hit).
             await asyncio.gather(*(one(client, cold) for client in clients))
         # Variant warm-up (untimed, like the cold miss it parallels):
         # the first gzip-accepting cache hit compresses the body once
@@ -211,23 +216,33 @@ async def _run_cell(
         wall_seconds = cold_wall.seconds + warm_wall.seconds
 
         # --- byte verification (off the clock) -----------------------
+        # Misses are compressed under their own envelope (cached:false,
+        # their coalesced flag), hits are served the one cached variant.
+        # gzip output is deterministic (fixed level, zeroed mtime — rule
+        # R005), so each distinct body is gunzipped and verified once,
+        # and every hit must carry the byte-identical variant.
+        hit_prefix = envelope_prefix(
+            query_class, service.epoch, coalesced=False, cached=True
+        )
         gzip_reference: bytes = b""
         gzip_served = 0
+        verified_gzip: Set[bytes] = set()
         for response_headers, raw in observed:
             if response_headers.get("content-encoding") == "gzip":
                 gzip_served += 1
-                if not gzip_reference:
-                    # One gunzip proves the compressed variant encodes
-                    # the verified bytes; gzip output is deterministic
-                    # (fixed level, zeroed mtime — rule R005), so every
-                    # other gzip body must be byte-identical to it.
-                    check_identity(gzip.decompress(raw))
-                    gzip_reference = raw
-                elif raw != gzip_reference:
+                if raw in verified_gzip:
+                    continue
+                plain = gzip.decompress(raw)
+                check_identity(plain)
+                verified_gzip.add(raw)
+                if not plain.startswith(hit_prefix):
+                    continue
+                if gzip_reference:
                     raise ValidationError(
                         f"{query_class} gzip bodies diverged between "
                         f"requests at concurrency {concurrency}"
                     )
+                gzip_reference = raw
             else:
                 check_identity(raw)
         if gzip_served == 0:

@@ -35,6 +35,7 @@ memoized per rule).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -311,19 +312,37 @@ class TarArchive:
     def measure_at(self, rule_id: RuleId, window: int) -> Optional[WindowMeasure]:
         """The rule's measures in one window, or ``None`` if unarchived there."""
         self._check_window(window)
-        for entry in self._entries(rule_id):
-            entry_window, rule_count, antecedent_count, consequent_count = entry
-            if entry_window == window:
-                return WindowMeasure(
+        return self.measures_in(rule_id, (window,))[window]
+
+    def measures_in(
+        self, rule_id: RuleId, windows: Iterable[int]
+    ) -> Dict[int, Optional[WindowMeasure]]:
+        """The rule's measures in each of *windows* (``None`` where absent).
+
+        Each window is found by bisecting the rule's window-sorted
+        entries, so only the requested windows become
+        :class:`WindowMeasure` objects however long the history is.
+        Keys keep the order of *windows*; a window outside the archive
+        raises :class:`UnknownWindowError`.
+        """
+        entries = self._entries(rule_id)
+        found: Dict[int, Optional[WindowMeasure]] = {}
+        for window in windows:
+            self._check_window(window)
+            # (window,) sorts before every (window, counts...) entry.
+            index = bisect_left(entries, (window,))
+            measure = None
+            if index < len(entries) and entries[index][0] == window:
+                _, rule_count, antecedent_count, consequent_count = entries[index]
+                measure = WindowMeasure(
                     window=window,
                     rule_count=rule_count,
                     antecedent_count=antecedent_count,
                     window_size=self._window_sizes[window],
                     consequent_count=consequent_count,
                 )
-            if entry_window > window:
-                return None
-        return None
+            found[window] = measure
+        return found
 
     def windows_of(self, rule_id: RuleId) -> Tuple[int, ...]:
         """Windows in which the rule has archived entries."""

@@ -7,7 +7,10 @@ is reused under one canonical integer key
 holds everything the serving tiers reuse for that key:
 
 * the *frozen* answer value, thawed per caller by
-  :class:`repro.service.TaraService`;
+  :class:`repro.service.TaraService` — or ``None`` for an entry the
+  network tier minted from bytes alone (a Q1 answer assembled from
+  encoded rows never exists as a value; the service computes the value
+  on the first in-process request and keeps the bytes);
 * the *identity blob* for each echo tag — the encoded answer bytes
   after ``"answer":`` in the success envelope.  Q2/Q3 answers echo the
   caller's raw floats (:func:`repro.service.keys.echo_tag`), so
@@ -30,8 +33,9 @@ other retirement.
 
 Each entry is charged :attr:`AnswerEntry.cost`: a deterministic model
 of the frozen value (:func:`answer_cost`, in the manner of
-:func:`~repro.core.storage.lru.series_cost`) plus the length of every
-attached byte string.
+:func:`~repro.core.storage.lru.series_cost`; :data:`ENTRY_BASE_COST`
+alone for a bytes-only entry) plus the length of every attached byte
+string.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ class AnswerEntry:
     """One cached answer with its encoded byte variants.
 
     Attributes:
-        value: the frozen answer (immutable containers only).
-        value_cost: :func:`answer_cost` of *value*.
+        value: the frozen answer (immutable containers only), or
+            ``None`` for a bytes-only entry.
+        value_cost: :func:`answer_cost` of *value*
+            (:data:`ENTRY_BASE_COST` when *value* is ``None``).
         blobs: ``(echo tag, identity answer blob)`` pairs.
         gzipped: ``(echo tag, envelope prefix, gzip body)`` triples.
     """
@@ -113,6 +119,11 @@ class AnswerEntry:
     value_cost: int
     blobs: Tuple[Tuple[EchoTag, bytes], ...] = ()
     gzipped: Tuple[Tuple[EchoTag, bytes, bytes], ...] = ()
+
+    @classmethod
+    def of_blob(cls, echo: EchoTag, blob: bytes) -> "AnswerEntry":
+        """A bytes-only entry: *blob* for *echo* and no frozen value."""
+        return cls(None, ENTRY_BASE_COST, ((echo, blob),))
 
     @property
     def cost(self) -> int:
@@ -136,6 +147,21 @@ class AnswerEntry:
             if tag == echo and minted_under == prefix:
                 return body
         return None
+
+    def merged(self, other: "AnswerEntry") -> "AnswerEntry":
+        """This entry completed by *other* (``self`` if it adds nothing).
+
+        *other*'s value fills a missing value, and its identity blobs
+        join for the echo tags this entry has no blob for; whatever is
+        already here wins (a racing miss computed the same answer).
+        """
+        merged = self
+        if merged.value is None and other.value is not None:
+            merged = replace(merged, value=other.value, value_cost=other.value_cost)
+        for echo, blob in other.blobs:
+            if merged.blob(echo) is None:
+                merged = merged.with_blob(echo, blob)
+        return merged
 
     def with_blob(self, echo: EchoTag, blob: bytes) -> "AnswerEntry":
         """A successor entry with *blob* as the identity bytes of *echo*."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union, overload
 
 from repro.common.errors import QueryError
-from repro.core.archive import WindowMeasure
 from repro.core.builder import TaraKnowledgeBase
 from repro.core.queries import (
     CompareQuery,
@@ -168,28 +167,32 @@ class TaraExplorer:
     def _trajectories(self, query: TrajectoryQuery) -> List[RuleTrajectory]:
         """Q1: rules matching the setting in the anchor window, tracked.
 
-        The anchor ruleset comes from the EPS slice; each rule's values
-        in the other requested windows are decoded from the archive
-        (``None`` where the rule was not archived).
+        The anchor ruleset comes from the EPS slice; each rule's row is
+        one :meth:`trajectory`.
         """
-        setting, anchor_window = query.setting, query.anchor_window
         spec = self._spec(query.spec)
-        archive = self.knowledge_base.archive
-        catalog = self.knowledge_base.catalog
-        wanted = set(spec)
-        result: List[RuleTrajectory] = []
-        for rule_id in self.ruleset(setting, anchor_window):
-            # One series decode per rule, not one lookup per window.
-            measures: Dict[int, Optional[WindowMeasure]] = dict.fromkeys(spec)
-            for measure in archive.series(rule_id):
-                if measure.window in wanted:
-                    measures[measure.window] = measure
-            result.append(
-                RuleTrajectory(
-                    rule_id=rule_id, rule=catalog.get(rule_id), measures=measures
-                )
-            )
-        return result
+        return [
+            self.trajectory(rule_id, spec)
+            for rule_id in self.ruleset(query.setting, query.anchor_window)
+        ]
+
+    def trajectory(self, rule_id: RuleId, spec: PeriodSpec) -> RuleTrajectory:
+        """One Q1 row: *rule_id*'s archived values in each window of *spec*.
+
+        ``None`` marks a window where the rule was not archived; a
+        window beyond the knowledge base raises
+        :class:`~repro.common.errors.UnknownWindowError`.  Only the
+        requested windows are looked up (by bisection over the rule's
+        entries) and become measures, so building the row does not grow
+        with the history; decoding a sealed series still does, once,
+        into the archive's (or the lazy reader's) decoded-series cache.
+        """
+        measures = self.knowledge_base.archive.measures_in(rule_id, spec)
+        return RuleTrajectory(
+            rule_id=rule_id,
+            rule=self.knowledge_base.catalog.get(rule_id),
+            measures=measures,
+        )
 
     # ------------------------------------------------------------------
     # Q2: evolving ruleset comparison

@@ -27,20 +27,25 @@ in flight, 503 draining, 500 bug).
 
 **The wire-hot path.**  Query responses are built from encoded bytes
 end to end: answers are serialized once through
-:func:`repro.serve.protocol.encode_answer_bytes` (memoized per-rule
-fragments, chunked emission) and the resulting blob is attached, per
-echo tag, to the service's answer-cache entry for the region key
-(:class:`repro.core.cache.AnswerEntry` — the only serving cache).  A
-warm request is one probe plus a splice of ``envelope prefix + cached
-blob + "}"`` — no dict building, no ``json.dumps``.  Coalescing
+:func:`repro.serve.protocol.encode_answer_bytes` (chunked emission)
+and the resulting blob is attached, per echo tag, to the service's
+answer-cache entry for the region key
+(:class:`repro.core.cache.AnswerEntry`).  A Q1 miss never builds its
+answer value: the service joins the rule rows of its row tier
+(:meth:`TaraService.execute_on` with ``encode_row``), encoding only the
+rows it has not seen, and the blob is attached to a bytes-only entry.
+A warm request is one probe plus a splice of ``envelope prefix +
+cached blob + "}"`` — no dict building, no ``json.dumps``.  Coalescing
 happens at the same byte layer: followers receive the leader's encoded
 chunks and only prepend their own envelope prefix (their ``coalesced``
 flag differs), with zero re-encode.  ``Accept-Encoding: gzip`` clients
-get a cached pre-compressed variant (compressed once, on the first
-gzip-accepting hit), and conditional requests short-circuit to 304 before any
-execution: the weak ETag names ``(query class, region key, echo)``,
-and scoped region keys embed the snapshot epoch, so a publish changes
-the ETag by construction.
+get gzip: a miss body of at least :data:`GZIP_MIN_BYTES` is compressed
+off-loop under its own envelope, and a hit is served a cached
+pre-compressed variant (compressed once, on the first gzip-accepting
+hit).  Conditional requests short-circuit to 304 before any execution:
+the weak ETag names ``(query class, region key, echo)``, and scoped
+region keys embed the snapshot epoch, so a publish changes the ETag by
+construction.
 
 Snapshot consistency: the gateway pins the current MVCC snapshot
 *before* decoding work begins, canonicalizes once against the pinned
@@ -75,17 +80,22 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.timing import stopwatch
+from repro.core.cache import AnswerEntry
+from repro.core.queries import TrajectoryQuery
 from repro.core.snapshot import Snapshot
 from repro.serve.coalesce import RequestCoalescer
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     ENVELOPE_SUFFIX,
     QUERY_KINDS,
+    TRAJECTORIES_HEAD,
+    TRAJECTORIES_TAIL,
     JsonDict,
     decode_batches,
     decode_request,
     dumps_bytes,
     encode_answer_bytes,
+    encode_trajectory_row,
     envelope_prefix,
 )
 from repro.service.keys import canonicalize, echo_tag
@@ -103,6 +113,11 @@ STREAM_THRESHOLD = 64 * 1024
 #: Deterministic gzip: fixed mtime (rule R005 — no wall clocks in
 #: outputs) so the same body always compresses to the same bytes.
 _GZIP_LEVEL = 6
+
+#: A gzip-accepting miss is compressed when its body has at least this
+#: many bytes; below it, the gzip header and trailer cost more than the
+#: compression saves.
+GZIP_MIN_BYTES = 1024
 
 _VARY = ("Vary", "Accept-Encoding")
 
@@ -424,7 +439,7 @@ class QueryGateway:
     # ------------------------------------------------------------------
     # the query path
     # ------------------------------------------------------------------
-    def _answer_response(
+    async def _answer_response(
         self,
         query_class: str,
         epoch: int,
@@ -433,8 +448,15 @@ class QueryGateway:
         coalesced: bool,
         cached: bool,
         etag: Optional[str],
+        accept_gzip: bool = False,
     ) -> WireResponse:
-        """Assemble a 200 envelope around already-encoded answer bytes."""
+        """Assemble a 200 envelope around already-encoded answer bytes.
+
+        With *accept_gzip* (misses only — a hit is served its cached
+        variant), a body of at least :data:`GZIP_MIN_BYTES` is
+        compressed off-loop under this request's own envelope, its
+        ``coalesced`` flag included; that body is never cached.
+        """
         prefix = envelope_prefix(
             query_class, epoch, coalesced=coalesced, cached=cached
         )
@@ -443,6 +465,14 @@ class QueryGateway:
         if etag is not None:
             headers = (("ETag", etag), _VARY)
         total = sum(len(chunk) for chunk in chunks)
+        if accept_gzip and total >= GZIP_MIN_BYTES:
+            body = await asyncio.get_running_loop().run_in_executor(
+                self._pool, _gzip_bytes, b"".join(chunks)
+            )
+            gzip_headers = (("Content-Encoding", "gzip"), *headers)
+            if etag is None:
+                gzip_headers += (_VARY,)
+            return WireResponse(200, (body,), gzip_headers)
         return WireResponse(
             200, chunks, headers, stream=total >= STREAM_THRESHOLD
         )
@@ -482,6 +512,14 @@ class QueryGateway:
             loop = asyncio.get_running_loop()
 
             def execute() -> Tuple[bytes, ...]:
+                if isinstance(query, TrajectoryQuery):
+                    rows = self._service.execute_on(
+                        snapshot,
+                        query,
+                        canonical,
+                        encode_row=encode_trajectory_row,
+                    )
+                    return (TRAJECTORIES_HEAD, rows, TRAJECTORIES_TAIL)
                 answer = self._service.execute_on(snapshot, query, canonical)
                 return tuple(
                     encode_answer_bytes(canonical.query_class, answer)
@@ -491,13 +529,14 @@ class QueryGateway:
                 # Roll-up: not region-cacheable, so neither coalescible
                 # nor byte-cacheable (answers threshold merged counts).
                 chunks = await loop.run_in_executor(self._pool, execute)
-                return self._answer_response(
+                return await self._answer_response(
                     canonical.query_class,
                     snapshot.epoch,
                     chunks,
                     coalesced=False,
                     cached=False,
                     etag=None,
+                    accept_gzip=accept_gzip,
                 )
 
             echo = echo_tag(query)
@@ -514,7 +553,7 @@ class QueryGateway:
                 self.metrics.count("hits")
                 if not accept_gzip:
                     self.metrics.count("bytes_served", len(blob))
-                    return self._answer_response(
+                    return await self._answer_response(
                         canonical.query_class,
                         snapshot.epoch,
                         (blob,),
@@ -572,22 +611,21 @@ class QueryGateway:
             if not coalesced:
                 # Only the leader attaches: its echo tag matches the
                 # bytes it encoded.  (Coalesced followers share the
-                # leader's echoed floats.)  The execution stored the
-                # frozen answer; its bytes join that same entry.
+                # leader's echoed floats.)  The bytes join the entry
+                # the execution stored, or mint a bytes-only one (Q1).
                 encoded = b"".join(answer_chunks)
-                if self._service.attach(
-                    snapshot,
-                    canonical,
-                    lambda current: current.with_blob(echo, encoded),
+                if self._service.store(
+                    snapshot, canonical, AnswerEntry.of_blob(echo, encoded)
                 ):
                     self.metrics.count("stores")
-            return self._answer_response(
+            return await self._answer_response(
                 canonical.query_class,
                 snapshot.epoch,
                 answer_chunks,
                 coalesced=coalesced,
                 cached=False,
                 etag=etag,
+                accept_gzip=accept_gzip,
             )
         finally:
             handle.release()

@@ -362,28 +362,30 @@ def _encode_region(region: StableRegion) -> JsonDict:
     return payload
 
 
+def _encode_trajectory(trajectory: RuleTrajectory) -> JsonDict:
+    """One Q1 row: the rule head plus its measures, windows ascending."""
+    measures: JsonDict = {}
+    for window in sorted(trajectory.measures):
+        measure = trajectory.measures[window]
+        measures[str(window)] = (
+            None
+            if measure is None
+            else {
+                "rule_count": measure.rule_count,
+                "antecedent_count": measure.antecedent_count,
+                "consequent_count": measure.consequent_count,
+                "window_size": measure.window_size,
+                "support": measure.support,
+                "confidence": measure.confidence,
+            }
+        )
+    row = _encode_rule(trajectory.rule_id, trajectory.rule)
+    row["measures"] = measures
+    return row
+
+
 def _encode_trajectories(trajectories: List[RuleTrajectory]) -> JsonDict:
-    rows: List[JsonDict] = []
-    for trajectory in trajectories:
-        measures: JsonDict = {}
-        for window in sorted(trajectory.measures):
-            measure = trajectory.measures[window]
-            measures[str(window)] = (
-                None
-                if measure is None
-                else {
-                    "rule_count": measure.rule_count,
-                    "antecedent_count": measure.antecedent_count,
-                    "consequent_count": measure.consequent_count,
-                    "window_size": measure.window_size,
-                    "support": measure.support,
-                    "confidence": measure.confidence,
-                }
-            )
-        row = _encode_rule(trajectory.rule_id, trajectory.rule)
-        row["measures"] = measures
-        rows.append(row)
-    return {"trajectories": rows}
+    return {"trajectories": [_encode_trajectory(t) for t in trajectories]}
 
 
 def _encode_window_diff(diff: WindowDiff) -> JsonDict:
@@ -506,16 +508,19 @@ def dumps_bytes(value: object) -> bytes:
     return json.dumps(value, separators=_COMPACT).encode("utf-8")
 
 
-@lru_cache(maxsize=65536)
-def _rule_prefix_bytes(rule_id: RuleId, rule: Rule) -> bytes:
-    """The encoded rule-row head, missing only its closing brace.
+def encode_trajectory_row(trajectory: RuleTrajectory) -> bytes:
+    """The encoded bytes of one Q1 row — the only definition of a row.
 
-    Rules are interned per knowledge base and rule ids are stable across
-    epochs, so the (id, rule) pair memoizes perfectly: a 20k-row Q1
-    answer re-encodes its per-rule fragments exactly once per process,
-    not once per request.
+    A Q1 answer blob is :data:`TRAJECTORIES_HEAD`, the rows joined by
+    commas, and :data:`TRAJECTORIES_TAIL`; the service's row tier
+    memoizes this function's output and joins it the same way.
     """
-    return dumps_bytes(_encode_rule(rule_id, rule))[:-1]
+    return dumps_bytes(_encode_trajectory(trajectory))
+
+
+#: Opening and closing bytes around the comma-joined rows of a Q1 blob.
+TRAJECTORIES_HEAD = b'{"trajectories":['
+TRAJECTORIES_TAIL = b"]}"
 
 
 def _chunked(parts: Iterable[bytes], target: int) -> Iterator[bytes]:
@@ -536,33 +541,12 @@ def _chunked(parts: Iterable[bytes], target: int) -> Iterator[bytes]:
 def _iter_trajectory_bytes(
     trajectories: Sequence[RuleTrajectory],
 ) -> Iterator[bytes]:
-    yield b'{"trajectories":['
+    yield TRAJECTORIES_HEAD
     comma = b""
     for trajectory in trajectories:
-        measures: JsonDict = {}
-        for window in sorted(trajectory.measures):
-            measure = trajectory.measures[window]
-            measures[str(window)] = (
-                None
-                if measure is None
-                else {
-                    "rule_count": measure.rule_count,
-                    "antecedent_count": measure.antecedent_count,
-                    "consequent_count": measure.consequent_count,
-                    "window_size": measure.window_size,
-                    "support": measure.support,
-                    "confidence": measure.confidence,
-                }
-            )
-        yield (
-            comma
-            + _rule_prefix_bytes(trajectory.rule_id, trajectory.rule)
-            + b',"measures":'
-            + dumps_bytes(measures)
-            + b"}"
-        )
+        yield comma + encode_trajectory_row(trajectory)
         comma = b","
-    yield b"]}"
+    yield TRAJECTORIES_TAIL
 
 
 def _iter_content_bytes(
@@ -593,10 +577,11 @@ def encode_answer_bytes(
     ``dumps_bytes(encode_answer(query_class, answer))`` for every query
     class (property-tested in ``tests/serve/test_protocol_bytes.py``) —
     but the large row-shaped answers (Q1 trajectories, Q5 per-window
-    rulesets) are produced incrementally with memoized per-rule
-    fragments instead of one giant dict → ``dumps`` pass, so a streamed
-    body never materializes the whole answer dict and re-encoding the
-    same rules across requests is a cache lookup, not a serialization.
+    rulesets) are produced row by row instead of one giant dict →
+    ``dumps`` pass, so a streamed body never materializes the whole
+    answer dict.  Re-encoding the same Q1 rows across requests is
+    avoided one layer down, by the service's row tier
+    (:meth:`repro.service.TaraService.execute_on` with ``encode_row``).
     """
     if query_class == "Q1":
         assert isinstance(answer, (list, tuple))

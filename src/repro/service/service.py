@@ -23,8 +23,19 @@ through the serving answer cache (:mod:`repro.core.cache`):
 Both tiers are :class:`~repro.core.storage.lru.ByteBudgetLRU` instances
 under one byte budget (``cache_bytes``, each tier bounded by it), and
 an entry also carries the encoded bytes the network tier attaches to it
-(:meth:`TaraService.lookup` / :meth:`TaraService.attach`), so one entry
-per region key is the only serving cache.
+(:meth:`TaraService.lookup` / :meth:`TaraService.store` /
+:meth:`TaraService.attach`), so one entry per region key is the only
+answer cache.
+
+Beside the shared tier sits the **row tier**, one more
+``ByteBudgetLRU`` under the same budget: it maps
+``(rule_id, *windows)`` to the encoded bytes of one Q1 row.  Archived
+windows are immutable and rule ids are stable across epochs, so a row
+naming explicit windows is valid on every snapshot of the service and
+never goes stale.  The network tier answers a Q1 miss through
+:meth:`TaraService.execute_on` with ``encode_row``: the anchor ruleset
+comes from the EPS slice and the answer is its rules' rows, joined;
+only rows missing from the tier are decoded and encoded.
 
 Concurrency: one re-entrant service lock guards the metrics, the
 retirement bookkeeping and every read-modify-write of an entry
@@ -58,7 +69,12 @@ from typing import (
 from repro.common.errors import ValidationError
 from repro.common.timing import stopwatch
 from repro.core.builder import TaraKnowledgeBase
-from repro.core.cache import DEFAULT_CACHE_BYTES, AnswerEntry, answer_cost
+from repro.core.cache import (
+    DEFAULT_CACHE_BYTES,
+    ENTRY_BASE_COST,
+    AnswerEntry,
+    answer_cost,
+)
 from repro.core.explorer import ExplorerAnswer, TaraExplorer
 from repro.core.incremental import IncrementalTara
 from repro.core.queries import (
@@ -88,6 +104,13 @@ from repro.service.metrics import ServiceMetrics
 #: Sources a service can wrap.
 ServiceSource = Union[TaraKnowledgeBase, TaraExplorer, IncrementalTara]
 
+#: Encodes one Q1 row for the wire; the network tier passes
+#: :func:`repro.serve.protocol.encode_trajectory_row`.
+RowEncoder = Callable[[RuleTrajectory], bytes]
+
+#: Row-tier key: ``(rule_id, *windows)``.
+RowKey = Tuple[int, ...]
+
 
 class TaraService:
     """Thread-safe, cached query serving over one TARA knowledge base.
@@ -109,6 +132,7 @@ class TaraService:
         self._lock = threading.RLock()
         self.cache_bytes = cache_bytes
         self._shared: Segment = ByteBudgetLRU(cache_bytes)
+        self._rows: ByteBudgetLRU[RowKey, bytes] = ByteBudgetLRU(cache_bytes)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._retired_seen = 0  # repro-lint: guarded-by=_lock
         # Exactly one of the two is set, in __init__, and never rebound:
@@ -201,14 +225,16 @@ class TaraService:
         metrics' storage section first, so ``/metrics`` and the bench
         artefacts see eviction pressure without polling the reader
         directly.  Eagerly loaded knowledge bases have no storage
-        section.
+        section.  ``rows`` holds the row tier's counters.
         """
         sampler = getattr(self.knowledge_base, "storage_counters", None)
         counters = sampler() if callable(sampler) else None
         with self._lock:
             if counters is not None:
                 self.metrics.set_storage_counters(counters)
-            return self.metrics.as_dict()
+            report = self.metrics.as_dict()
+        report["rows"] = self._rows.counters()
+        return report
 
     def snapshot_stats(self) -> Dict[str, object]:
         """Publisher/snapshot introspection for ``GET /v1/snapshot``."""
@@ -287,12 +313,32 @@ class TaraService:
         with self.pin() as snapshot:
             return self.execute_on(snapshot, query)
 
+    @overload
     def execute_on(
         self,
         snapshot: Snapshot,
         query: ExplorerQuery,
         canonical: Optional[CanonicalQuery] = None,
-    ) -> ExplorerAnswer:
+    ) -> ExplorerAnswer: ...
+
+    @overload
+    def execute_on(
+        self,
+        snapshot: Snapshot,
+        query: TrajectoryQuery,
+        canonical: Optional[CanonicalQuery] = None,
+        *,
+        encode_row: RowEncoder,
+    ) -> bytes: ...
+
+    def execute_on(
+        self,
+        snapshot: Snapshot,
+        query: ExplorerQuery,
+        canonical: Optional[CanonicalQuery] = None,
+        *,
+        encode_row: Optional[RowEncoder] = None,
+    ) -> Union[ExplorerAnswer, bytes]:
         """Serve one request against an already-pinned *snapshot*.
 
         The serving gateway pins once per request (so canonicalization,
@@ -300,32 +346,71 @@ class TaraService:
         once, and passes the *canonical* form in; without it the query
         is canonicalized here.  The caller owns the pin and must hold it
         until the answer is returned.
+
+        With *encode_row*, a Q1 request is answered as its encoded rows
+        (one per matching rule, in answer order, joined by commas: the
+        inside of the answer's row array) drawn from the row tier; the
+        answer value is never built.  An entry without a value (minted
+        from bytes by the network tier) is a value miss: the value is
+        computed and joins the entry beside its bytes.
         """
         with stopwatch() as clock:
             if canonical is None:
                 canonical = canonicalize(
                     query, snapshot.knowledge_base, snapshot.epoch
                 )
-            entry = self.lookup(snapshot, canonical)
-            hit = entry is not None
-            if entry is not None:
-                frozen = entry.value
+            hit = False
+            result: Union[ExplorerAnswer, bytes]
+            if encode_row is not None and isinstance(
+                canonical.resolved, TrajectoryQuery
+            ):
+                result = self._rows_on(snapshot, canonical.resolved, encode_row)
             else:
-                answer = snapshot.explorer().execute(canonical.resolved)
-                frozen = self._freeze(canonical, answer)
-                if canonical.key is not None:
-                    self.store(
-                        snapshot,
-                        canonical,
-                        AnswerEntry(
-                            frozen, answer_cost(canonical.query_class, frozen)
-                        ),
-                    )
-            result = self._thaw(canonical, query, frozen)
+                entry = self.lookup(snapshot, canonical)
+                if entry is not None and entry.value is not None:
+                    hit = True
+                    frozen = entry.value
+                else:
+                    answer = snapshot.explorer().execute(canonical.resolved)
+                    frozen = self._freeze(canonical, answer)
+                    if canonical.key is not None:
+                        self.store(
+                            snapshot,
+                            canonical,
+                            AnswerEntry(
+                                frozen,
+                                answer_cost(canonical.query_class, frozen),
+                            ),
+                        )
+                result = self._thaw(canonical, query, frozen)
         self._sync_retirements()
         with self._lock:
             self.metrics.observe(canonical.query_class, hit, clock.seconds)
         return result
+
+    def _rows_on(
+        self, snapshot: Snapshot, query: TrajectoryQuery, encode_row: RowEncoder
+    ) -> bytes:
+        """The comma-joined Q1 rows of a resolved (explicit-window) *query*.
+
+        Each row is read from the row tier, or built by
+        :meth:`TaraExplorer.trajectory`, encoded by *encode_row* and
+        charged to the tier at its length plus ``ENTRY_BASE_COST``.
+        """
+        spec = query.spec
+        assert spec is not None  # canonicalization resolved the default
+        explorer = snapshot.explorer()
+        windows = spec.windows
+        rows = self._rows
+        encoded: List[bytes] = []
+        for rule_id in explorer.ruleset(query.setting, query.anchor_window):
+            key = (rule_id, *windows)
+            row = rows.get(key)
+            if row is None:
+                row = encode_row(explorer.trajectory(rule_id, spec))
+                rows.put(key, row, ENTRY_BASE_COST + len(row))
+            encoded.append(row)
+        return b",".join(encoded)
 
     def uncached(self, query: ExplorerQuery) -> ExplorerAnswer:
         """Execute *query* on a pinned snapshot, bypassing both caches.
@@ -372,15 +457,21 @@ class TaraService:
 
     def store(
         self, snapshot: Snapshot, canonical: CanonicalQuery, entry: AnswerEntry
-    ) -> None:
-        """Cache *entry* under *canonical*'s key unless one is there.
+    ) -> bool:
+        """Merge *entry* into the key's entry, or cache it if there is none.
 
-        A racing miss that computed the same answer keeps the entry
-        already stored (it may carry attached bytes).  The tier charges
-        the entry's cost, evicting least-recently-used entries, and
-        rejects an entry that alone exceeds the budget.
+        A computed value fills a bytes-only entry (keeping its bytes),
+        and an identity blob joins the entry of its key; what is already
+        stored wins (a racing miss computed the same answer).  The tier
+        charges the entry's cost, evicting least-recently-used entries,
+        and rejects an entry that alone exceeds the budget.  False when
+        nothing changed or the key is not cacheable.
         """
-        self._update(snapshot, canonical, lambda current: current or entry)
+        return self._update(
+            snapshot,
+            canonical,
+            lambda current: entry if current is None else current.merged(entry),
+        )
 
     def attach(
         self,
@@ -390,9 +481,9 @@ class TaraService:
     ) -> bool:
         """Replace the key's entry by ``extend(entry)``; False if absent.
 
-        The network tier attaches encoded bytes this way
-        (:meth:`AnswerEntry.with_blob` / :meth:`AnswerEntry.with_gzip`);
-        the successor is re-charged at its new cost.
+        The network tier attaches gzip variants this way
+        (:meth:`AnswerEntry.with_gzip`); identity blobs go through
+        :meth:`store`.  The successor is re-charged at its new cost.
         """
         return self._update(
             snapshot,

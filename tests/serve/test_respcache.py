@@ -24,7 +24,7 @@ from repro.core import (
     RecommendQuery,
     TrajectoryQuery,
 )
-from repro.core.cache import AnswerEntry
+from repro.core.cache import ENTRY_BASE_COST, AnswerEntry, answer_cost
 from repro.serve import ServeConfig, TaraServer
 from repro.serve.gateway import QueryGateway
 from repro.serve.protocol import encode_request
@@ -209,6 +209,35 @@ class TestBudget:
             )
 
 
+class TestBytesOnlyEntries:
+    def test_wire_q1_entry_is_charged_for_its_bytes(self, gateway):
+        query = TrajectoryQuery(setting=SETTING, anchor_window=0)
+        serve(gateway, [(query, None)])
+        entry = entry_of(gateway.service, query)
+        blob = entry.blob(())
+        assert entry.value is None and blob is not None
+        assert entry.cost == ENTRY_BASE_COST + len(blob)
+        frozen = tuple(gateway.service.uncached(query))
+        assert entry.cost < answer_cost("Q1", frozen) + len(blob)
+
+    def test_execute_after_wire_q1_returns_the_explorer_answer(self, gateway):
+        service = gateway.service
+        query = TrajectoryQuery(setting=SETTING, anchor_window=0)
+        serve(gateway, [(query, None)])
+        blob = entry_of(service, query).blob(())
+        misses = service.metrics.misses["Q1"]
+        assert service.execute(query) == service.uncached(query)
+        assert service.metrics.misses["Q1"] == misses + 1  # a value miss
+        entry = entry_of(service, query)
+        assert entry.value is not None and entry.blob(()) == blob
+        assert entry.cost == entry.value_cost + len(blob)
+        assert service.execute(query) == service.uncached(query)
+        assert service.metrics.hits["Q1"] == 1
+        # The wire keeps serving the bytes it attached.
+        (again,) = serve(gateway, [(query, None)])
+        assert envelope(again)["cached"] is True
+
+
 class TestEpochRetirement:
     def test_other_epochs_purged_current_kept(self, publisher, small_windows):
         gateway = QueryGateway(TaraService(publisher), pool_size=1)
@@ -220,7 +249,10 @@ class TestEpochRetirement:
         gateway.aclose()
         new = entry_of(gateway.service, scoped)
         assert new is not None and new is not old
-        assert len(new.value) and {len(t.measures) for t in new.value} == {3}
+        # A wire Q1 entry is bytes-only; its rows report all 3 windows.
+        rows = json.loads(new.blob(()))["trajectories"]
+        assert new.value is None
+        assert rows and {len(row["measures"]) for row in rows} == {3}
         assert publisher.snapshot_stats()["retired_entries"] == 1
         assert gateway.cache_counters()["hits"] == 1  # at the new epoch
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import gzip
 import json
+import threading
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.core import (
 )
 from repro.serve import auto_pool_size, resolve_pool_size
 from repro.serve.client import ServeClient
-from repro.serve.gateway import QueryGateway
+from repro.serve.gateway import GZIP_MIN_BYTES, QueryGateway
 from repro.serve.protocol import encode_request
 from repro.service import TaraService
 
@@ -141,7 +142,7 @@ class TestGzipNegotiation:
         async def scenario():
             async with running_server(small_kb) as server:
                 client = await connect(server)
-                # Cold miss: identity even though the client accepts gzip.
+                # Cold miss: compressed under its own (uncached) envelope.
                 _, cold_headers, cold = await client.exchange(
                     "POST", target, payload, accept_gzip=True
                 )
@@ -162,7 +163,8 @@ class TestGzipNegotiation:
         cold_headers, cold, warm_headers, warm_raw, repeat_raw, metrics = (
             asyncio.run(scenario())
         )
-        assert "content-encoding" not in cold_headers
+        assert cold_headers.get("content-encoding") == "gzip"
+        assert json.loads(cold)["cached"] is False
         assert warm_headers.get("content-encoding") == "gzip"
         assert warm_headers.get("vary") == "Accept-Encoding"
         warm = json.loads(gzip.decompress(warm_raw))
@@ -196,6 +198,98 @@ class TestGzipNegotiation:
         headers, body = asyncio.run(scenario())
         assert "content-encoding" not in headers
         assert json.loads(body)["cached"] is True
+
+
+class TestGzipOnMiss:
+    def test_miss_gunzips_to_the_identity_bytes(self, small_kb):
+        gateway = QueryGateway(TaraService(small_kb), pool_size=1)
+        kind, payload = encode_request(QUERY)
+        body = json.dumps(payload).encode("utf-8")
+
+        zipped = asyncio.run(
+            gateway.dispatch_wire(
+                "POST", f"/v1/query/{kind}", body, {"accept-encoding": "gzip"}
+            )
+        )
+        # The identity reference is a cold miss too (same envelope).
+        fresh = QueryGateway(TaraService(small_kb), pool_size=1)
+        plain = asyncio.run(
+            fresh.dispatch_wire("POST", f"/v1/query/{kind}", body)
+        )
+        gateway.aclose()
+        fresh.aclose()
+        headers = dict(zipped.headers)
+        assert headers["Content-Encoding"] == "gzip"
+        assert headers["Vary"] == "Accept-Encoding"
+        assert headers["ETag"] == dict(plain.headers)["ETag"]
+        assert len(plain.body) >= GZIP_MIN_BYTES
+        assert gzip.decompress(zipped.body) == plain.body
+        assert json.loads(plain.body)["cached"] is False
+
+    def test_coalesced_follower_compresses_its_own_envelope(self, small_kb):
+        service = TaraService(small_kb)
+        gateway = QueryGateway(service, pool_size=2)
+        started, release = threading.Event(), threading.Event()
+        original = service.execute_on
+
+        def gated_execute(snapshot, query, canonical=None, **options):
+            started.set()
+            release.wait(timeout=5.0)
+            return original(snapshot, query, canonical, **options)
+
+        service.execute_on = gated_execute  # instance shadow, test-only
+        kind, payload = encode_request(QUERY)
+        body = json.dumps(payload).encode("utf-8")
+
+        async def scenario():
+            tasks = [
+                asyncio.create_task(
+                    gateway.dispatch_wire(
+                        "POST",
+                        f"/v1/query/{kind}",
+                        body,
+                        {"accept-encoding": "gzip"},
+                    )
+                )
+                for _ in range(2)
+            ]
+            await asyncio.get_running_loop().run_in_executor(
+                None, started.wait, 5.0
+            )
+            while gateway.coalescer.hits < 1:
+                await asyncio.sleep(0)
+            release.set()
+            return await asyncio.gather(*tasks)
+
+        responses = asyncio.run(scenario())
+        gateway.aclose()
+        assert all(
+            dict(r.headers)["Content-Encoding"] == "gzip" for r in responses
+        )
+        envelopes = [json.loads(gzip.decompress(r.body)) for r in responses]
+        assert sorted(e["coalesced"] for e in envelopes) == [False, True]
+        assert envelopes[0]["answer"] == envelopes[1]["answer"]
+
+    def test_below_threshold_body_stays_identity(self, small_kb):
+        gateway = QueryGateway(TaraService(small_kb), pool_size=1)
+        # A setting no rule meets: the smallest Q1 body there is.
+        query = TrajectoryQuery(
+            setting=ParameterSetting(0.99, 0.99), anchor_window=0
+        )
+        kind, payload = encode_request(query)
+        response = asyncio.run(
+            gateway.dispatch_wire(
+                "POST",
+                f"/v1/query/{kind}",
+                json.dumps(payload).encode("utf-8"),
+                {"accept-encoding": "gzip"},
+            )
+        )
+        gateway.aclose()
+        assert response.status == 200
+        assert len(response.body) < GZIP_MIN_BYTES
+        assert "Content-Encoding" not in dict(response.headers)
+        assert json.loads(response.body)["answer"] == {"trajectories": []}
 
 
 class TestGzipEnvelopeAfterPublish:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.core import GenerationConfig, IncrementalTara, RecommendQuery
-from repro.core.cache import AnswerEntry
+from repro.core.cache import ENTRY_BASE_COST, AnswerEntry
 from repro.core.storage.lru import ByteBudgetLRU
 from repro.service import EPOCH_FREE, CanonicalQuery, TaraService
 
@@ -62,6 +62,28 @@ class TestLru:
         info = service.cache_info()
         assert info["entries"] == 1
         assert info["current_bytes"] == 100 + len(b"bytes")
+
+    def test_bytes_only_entry_costs_its_bytes(self, small_kb):
+        blob = b'{"trajectories":[]}'
+        minted = AnswerEntry.of_blob((), blob)
+        assert minted.value is None
+        assert minted.cost == ENTRY_BASE_COST + len(blob)
+        filled = minted.merged(entry("a", 300))
+        assert filled.value == "a" and filled.blob(()) == blob
+        assert filled.cost == 300 + len(blob)
+        assert filled.merged(minted) is filled  # adds nothing
+        service = TaraService(small_kb)
+        with service.pin() as snapshot:
+            key = canonical((1,))
+            assert service.store(snapshot, key, minted)
+            assert service.lookup(snapshot, key).cost == minted.cost
+            # A computed value joins the bytes-only entry; a later store
+            # keeps the value already there.
+            assert service.store(snapshot, key, entry("a", 300))
+            assert not service.store(snapshot, key, entry("a2", 300))
+            found = service.lookup(snapshot, key)
+        assert found.value == "a" and found.blob(()) == blob
+        assert service.cache_info()["current_bytes"] == 300 + len(blob)
 
     def test_clear_reports_dropped(self, small_windows):
         incremental = IncrementalTara(GenerationConfig(0.02, 0.1))

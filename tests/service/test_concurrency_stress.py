@@ -10,6 +10,8 @@ races hard to *force*, so the assertions pin observable outcomes
 timing.
 """
 
+import asyncio
+import json
 import threading
 
 import pytest
@@ -19,6 +21,16 @@ from repro.core import (
     IncrementalTara,
     ParameterSetting,
     RecommendQuery,
+    TrajectoryQuery,
+)
+from repro.data import PeriodSpec
+from repro.serve.gateway import QueryGateway
+from repro.serve.protocol import (
+    TRAJECTORIES_HEAD,
+    TRAJECTORIES_TAIL,
+    encode_answer_blob,
+    encode_request,
+    encode_trajectory_row,
 )
 from repro.service import TaraService, canonicalize
 
@@ -183,3 +195,92 @@ class TestEntryAttachRace:
         assert entry is not None
         assert len(entry.blobs) == workers * rounds
         assert service.cache_info()["current_bytes"] == entry.cost
+
+
+class TestRowFillsFromPoolThreads:
+    """Q1 row-tier fills and evictions racing on the gateway's pool."""
+
+    def test_concurrent_q1_misses_serve_the_explorer_bytes(self, small_kb):
+        import sys
+
+        # A budget a few rows overflow: fills race evictions.
+        service = TaraService(small_kb, cache_bytes=4096)
+        gateway = QueryGateway(service, pool_size=4)
+        queries = [
+            TrajectoryQuery(
+                setting=ParameterSetting(
+                    0.02 + 0.01 * (i % 4), 0.1 + 0.1 * (i % 3)
+                ),
+                anchor_window=i % small_kb.window_count,
+                spec=PeriodSpec(range(i % 3, small_kb.window_count)),
+            )
+            for i in range(48)
+        ]
+        expected = [
+            encode_answer_blob("Q1", service.uncached(query))
+            for query in queries
+        ]
+
+        async def burst():
+            requests = []
+            for query in queries:
+                kind, payload = encode_request(query)
+                requests.append(
+                    gateway.dispatch_wire(
+                        "POST",
+                        f"/v1/query/{kind}",
+                        json.dumps(payload).encode("utf-8"),
+                    )
+                )
+            return await asyncio.gather(*requests)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = asyncio.run(burst())
+        finally:
+            sys.setswitchinterval(saved)
+            gateway.aclose()
+        for response, blob in zip(responses, expected):
+            assert response.status == 200
+            assert response.body.split(b'"answer":', 1)[1] == blob + b"}"
+        rows = service.metrics_snapshot()["rows"]
+        assert rows["misses"] > 0 and rows["evictions"] > 0
+        assert rows["current_bytes"] <= 4096
+
+    def test_row_reads_race_publishes(self, incremental, small_windows):
+        service = TaraService(incremental)
+        query = TrajectoryQuery(
+            setting=ParameterSetting(0.02, 0.1),
+            anchor_window=0,
+            spec=PeriodSpec([0]),
+        )
+        expected = encode_answer_blob("Q1", service.uncached(query))
+        errors = []
+        stop = threading.Event()
+
+        def client():
+            while not stop.is_set():
+                with service.pin() as snapshot:
+                    rows = service.execute_on(
+                        snapshot, query, encode_row=encode_trajectory_row
+                    )
+                blob = TRAJECTORIES_HEAD + rows + TRAJECTORIES_TAIL
+                if blob != expected:
+                    errors.append(blob)
+
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        for thread in clients:
+            thread.start()
+        try:
+            for index in range(1, small_windows.window_count):
+                incremental.publish([small_windows.window(index)])
+        finally:
+            stop.set()
+            for thread in clients:
+                thread.join()
+        assert not errors
+        # Explicit windows are immutable: every epoch reused one row set.
+        rows = service.metrics_snapshot()["rows"]
+        assert rows["hits"] > 0
+        assert rows["entries"] == len(json.loads(expected)["trajectories"])
